@@ -13,17 +13,15 @@ the policies with an independently trained validation model.
 from .data import (DataError, Dataset, FeatureSchema, SchemaError, denormalize,
                    load_dataset, normalize, split_half)
 from .gp import (ApsResult, KernelConfig, TreatmentGP, aps, aps_gradient,
-                 fit_gp, load_gp, make_aps_result, predict, predict_batch,
-                 save_gp, treatment_profile, weight_treatments)
+                 fit_gp, make_aps_result, predict_batch, treatment_profile,
+                 weight_treatments)
 from .nets import (IndirectEstimator, MlpClassifier, grad_wrt_treatments,
-                   load_model, predict_proba, save_model, train_classifier,
-                   train_indirect)
+                   predict_proba, train_classifier, train_indirect)
 from .optimize import (OptimizationConfig, OptimizationError, PolicyResult,
                        Variant, cost, objective_value, optimize, project)
 from .experiment import (CellStats, ExperimentReport, SideModels,
-                         TrainSettings, average_aps, fit_side_models, ifee,
-                         run_experiment, treatment_frequency, write_report,
-                         write_sweep_csv)
+                         TrainSettings, fit_side_models, ifee, run_experiment,
+                         write_report, write_sweep_csv)
 
 __version__ = "0.1.0"
 
@@ -32,12 +30,10 @@ __all__ = [
     "FeatureSchema", "IndirectEstimator", "KernelConfig", "MlpClassifier",
     "OptimizationConfig", "OptimizationError", "PolicyResult", "SchemaError",
     "SideModels", "TrainSettings", "TreatmentGP", "Variant", "aps",
-    "aps_gradient", "average_aps", "cost", "denormalize", "fit_gp",
-    "fit_side_models", "grad_wrt_treatments", "ifee", "load_dataset",
-    "load_gp", "load_model", "make_aps_result", "normalize",
-    "objective_value", "optimize", "predict", "predict_batch",
-    "predict_proba", "project", "run_experiment", "save_gp", "save_model",
-    "split_half", "train_classifier", "train_indirect", "treatment_frequency",
-    "treatment_profile", "weight_treatments", "write_report",
-    "write_sweep_csv",
+    "aps_gradient", "cost", "denormalize", "fit_gp", "fit_side_models",
+    "grad_wrt_treatments", "ifee", "load_dataset", "make_aps_result",
+    "normalize", "objective_value", "optimize", "predict_batch",
+    "predict_proba", "project", "run_experiment", "split_half",
+    "train_classifier", "train_indirect", "treatment_profile",
+    "weight_treatments", "write_report", "write_sweep_csv",
 ]

@@ -3,10 +3,11 @@
 All randomness flows from a single seed (flag ``--seed``, falling back to the
 PROPHIT_SEED environment variable, then 0) split deterministically per
 component, so every command is byte-for-byte reproducible given identical
-inputs. ``train`` fits the optimization-side models on the first half of the
-seeded split and serializes them; ``optimize`` loads them and emits policy
-records for validation-half instances; ``evaluate`` runs the full two-model
-protocol and writes the sweep report.
+inputs and the same BLAS thread count. ``train`` fits the optimization-side
+models on the first half of the seeded split and serializes them;
+``optimize`` loads them and emits policy records for validation-half
+instances; ``evaluate`` runs the full two-model protocol and writes the sweep
+report.
 """
 
 from __future__ import annotations
@@ -15,13 +16,13 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
-import numpy as np
-
-from .data import DataError, SchemaError, load_dataset, normalize, split_half
+from .data import (DataError, SchemaError, denormalize, load_dataset,
+                   normalize, split_half)
 from .experiment import (TrainSettings, _derive_seed, fit_side_models,
                          run_experiment, write_report, write_sweep_csv)
-from .gp import gp_from_dict, gp_to_dict, make_aps_result, treatment_profile
+from .gp import gp_from_dict, gp_to_dict
 from .nets import classifier_from_dict, classifier_to_dict, indirect_from_dict, indirect_to_dict
 from .optimize import OptimizationConfig, Variant, optimize
 
@@ -161,23 +162,23 @@ def cmd_optimize(args) -> int:
                              variant=variant)
     t_idx = list(ds.schema.treatment_idx)
     names = ds.schema.treatment_names()
-    np_t = ds.norm_params[t_idx] if ds.norm_params is not None else None
+    served = val_half.take(rows)
+    results = [optimize(x_bar, f, H, gps, ds.schema, cfg) for x_bar in served.X]
+    X_star = served.X.copy()
+    X_star[:, t_idx] = [res.x_T_star for res in results]
+    raw_before = denormalize(served)[:, t_idx]
+    raw_after = denormalize(replace(served, X=X_star))[:, t_idx]
     records = []
-    for i in rows:
-        x_bar = val_half.X[i]
-        res = optimize(x_bar, f, H, gps, ds.schema, cfg)
-        x0, x1 = x_bar[t_idx], res.x_T_star
-        def _raw(v):
-            lo, hi = np_t[:, 0], np_t[:, 1]
-            return v * np.where(hi > lo, hi - lo, 0.0) + lo
+    for k, (i, res) in enumerate(zip(rows, results)):
+        x0, x1 = served.X[k, t_idx], res.x_T_star
         records.append({
             "row": i,
             "treatments": list(names),
             "original": x0.tolist(),
             "optimized": x1.tolist(),
             "delta": (x1 - x0).tolist(),
-            "original_raw": _raw(x0).tolist(),
-            "optimized_raw": _raw(x1).tolist(),
+            "original_raw": raw_before[k].tolist(),
+            "optimized_raw": raw_after[k].tolist(),
             "aps": res.aps_star.density.tolist(),
             "cost": res.cost_spent,
             "objective_initial": float(res.objective_trace[0]),

@@ -203,6 +203,11 @@ def load_dataset(path, schema_path):
                 except ValueError:
                     raise DataError(f"non-numeric value {c!r} in numeric column "
                                     f"{name!r}, row {i}")
+            finite = np.isfinite(col)
+            if not finite.all():
+                i = int(np.argmin(finite))
+                raise DataError(f"non-finite value {cells[i]!r} in numeric "
+                                f"column {name!r}, row {i}")
             out_names.append(name)
             out_cols.append(col)
             out_roles.append(roles[name])

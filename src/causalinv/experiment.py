@@ -146,35 +146,6 @@ def _policy_aps(density, x_star, x_bar_T, threshold):
     return float(np.mean(density[adjusted])) if adjusted.any() else float(np.mean(density))
 
 
-def average_aps(policies, threshold: float = ADJUST_THRESHOLD) -> tuple:
-    """3-sigma-filtered mean of the per-instance policy APS.
-
-    Each instance contributes the mean propensity density over the treatments
-    its policy adjusts (its whole treatment vector if the policy is empty);
-    instance means farther than three standard deviations from their overall
-    mean are discarded.
-    """
-    if not policies:
-        raise ValueError("no policies to average")
-    inst_means = [_policy_aps(p.aps_star.density, p.x_T_star, p.iterates[0],
-                              threshold) for p in policies]
-    return _filter_3sigma(inst_means)
-
-
-def treatment_frequency(policies, x_bars, threshold: float = ADJUST_THRESHOLD):
-    """Count, per treatment, the instances recommended to adjust it."""
-    if len(policies) != len(x_bars):
-        raise ValueError("policies and x_bars lengths differ")
-    counts = None
-    for p, xb in zip(policies, x_bars):
-        xb = np.asarray(xb, dtype=np.float64)
-        if p.x_T_star.shape != xb.shape:
-            raise ValueError("treatment vector length mismatch")
-        hit = (np.abs(p.x_T_star - xb) > threshold).astype(np.int64)
-        counts = hit if counts is None else counts + hit
-    return counts
-
-
 def _cell_grid(variants, budgets, lambdas):
     """Sweep cells in deterministic order; lambda only varies for variant g."""
     cells = []

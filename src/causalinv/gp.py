@@ -10,7 +10,6 @@ multiplies treatment values by their propensity.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -229,22 +228,12 @@ def fit_gp(controls, treatment_values, config: KernelConfig,
                        jitter=jit, log_marginal=lml)
 
 
-def log_marginal_likelihood(gp: TreatmentGP) -> float:
-    return gp.log_marginal
-
-
-def predict(gp: TreatmentGP, x_C) -> tuple:
-    """Predictive mean and standard deviation at one query point.
+def predict_batch(gp: TreatmentGP, X_C) -> tuple:
+    """Predictive mean and standard deviation at each row of ``X_C``.
 
     The variance includes the fitted observation noise (the propensity density
     is over observed treatment values); the std is floored at 1e-6.
     """
-    means, stds = predict_batch(gp, np.asarray(x_C, dtype=np.float64)[None, :])
-    return float(means[0]), float(stds[0])
-
-
-def predict_batch(gp: TreatmentGP, X_C) -> tuple:
-    """Vectorized :func:`predict` over the rows of ``X_C``."""
     X_C = np.asarray(X_C, dtype=np.float64)
     ls = gp.kernel.lengthscale
     sv = gp.kernel.signal_variance
@@ -258,10 +247,18 @@ def predict_batch(gp: TreatmentGP, X_C) -> tuple:
 
 
 def treatment_profile(gps, x_C) -> tuple:
-    """Stack (mean, std) of each treatment's GP at one control vector."""
-    pairs = [predict(gp, x_C) for gp in gps]
-    means = np.array([p[0] for p in pairs])
-    stds = np.array([p[1] for p in pairs])
+    """Each treatment GP's predictive (mean, std) at the controls ``x_C``.
+
+    One control vector gives two ``(|T|,)`` arrays; a matrix of N control rows
+    gives two ``(N, |T|)`` arrays.
+    """
+    x_C = np.asarray(x_C, dtype=np.float64)
+    X_C = np.atleast_2d(x_C)
+    pairs = [predict_batch(gp, X_C) for gp in gps]
+    means = np.column_stack([m for m, _ in pairs])
+    stds = np.column_stack([s for _, s in pairs])
+    if x_C.ndim == 1:
+        return means[0], stds[0]
     return means, stds
 
 
@@ -280,11 +277,7 @@ def aps(x_T, means, stds) -> np.ndarray:
 
 def aps_gradient(x_T, means, stds) -> np.ndarray:
     """Derivative of :func:`aps` with respect to each treatment value."""
-    phi = aps(x_T, means, stds)
-    x_T = np.asarray(x_T, dtype=np.float64)
-    means = np.asarray(means, dtype=np.float64)
-    stds = np.asarray(stds, dtype=np.float64)
-    return -phi * (x_T - means) / (stds * stds)
+    return make_aps_result(x_T, means, stds).density_grad
 
 
 def weight_treatments(x_T, phi) -> np.ndarray:
@@ -329,13 +322,3 @@ def gp_from_dict(doc: dict) -> TreatmentGP:
     return fit_gp(np.asarray(doc["train_controls"], dtype=np.float64),
                   np.asarray(doc["train_targets"], dtype=np.float64),
                   config, optimize_hypers=False)
-
-
-def save_gp(gp: TreatmentGP, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(gp_to_dict(gp), fh, sort_keys=True)
-
-
-def load_gp(path) -> TreatmentGP:
-    with open(path, "r", encoding="utf-8") as fh:
-        return gp_from_dict(json.load(fh))

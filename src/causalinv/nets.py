@@ -14,12 +14,11 @@ k-fold cross-validated log-loss over a small grid, then a retrain on all rows.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gp import ApsResult, aps, predict_batch, weight_treatments
+from .gp import ApsResult, aps, treatment_profile, weight_treatments
 
 DEFAULT_ARCH_GRID = ((16,), (32,), (16, 16), (32, 16))
 DEFAULT_EPOCHS = 400
@@ -169,11 +168,8 @@ class IndirectEstimator:
 def _weighted_design(ds, gps):
     """Training design matrix with propensity-weighted treatment columns."""
     Xc, Xi, Xt = ds.controls(), ds.indirects(), ds.treatments()
-    W = np.empty_like(Xt)
-    for j, gp_j in enumerate(gps):
-        means, stds = predict_batch(gp_j, Xc)
-        W[:, j] = aps(Xt[:, j], means, stds) * Xt[:, j]
-    return np.concatenate([Xc, Xi, W], axis=1)
+    means, stds = treatment_profile(gps, Xc)
+    return np.concatenate([Xc, Xi, aps(Xt, means, stds) * Xt], axis=1)
 
 
 def _plain_design(ds):
@@ -254,49 +250,39 @@ def train_indirect(ds, seed: int = 0, epochs: int = DEFAULT_EPOCHS,
                                             "batch": batch, "seed": seed})
 
 
-def _assemble(f: MlpClassifier, H: IndirectEstimator, x_C, x_T, aps_res,
-              weight_h_inputs=False):
+def _assemble(f: MlpClassifier, H: IndirectEstimator, x_C, x_T, aps_res):
     x_C = np.asarray(x_C, dtype=np.float64)
     x_T = np.asarray(x_T, dtype=np.float64)
     if f.weighted and aps_res is None:
         raise ValueError("classifier was trained on weighted treatments; "
                          "an ApsResult is required")
     w = weight_treatments(x_T, aps_res.density) if f.weighted else x_T
-    h_in = w if (weight_h_inputs and f.weighted) else x_T
-    x_I = H.predict(x_C, h_in)
-    return np.concatenate([x_C, x_I, w]), h_in
+    return np.concatenate([x_C, H.predict(x_C, x_T), w])
 
 
 def predict_proba(f: MlpClassifier, H: IndirectEstimator, x_C, x_T,
-                  aps_res: ApsResult | None = None,
-                  weight_h_inputs: bool = False) -> float:
+                  aps_res: ApsResult | None = None) -> float:
     """Classifier output with indirect features re-estimated from (x_C, x_T).
 
-    By default the indirect estimator consumes raw treatments and only the
-    classifier's direct treatment inputs are propensity-weighted;
-    ``weight_h_inputs`` switches H onto the weighted values too, for
-    sensitivity analysis.
+    The indirect estimator consumes raw treatments; only the classifier's
+    direct treatment inputs are propensity-weighted.
     """
-    z, _ = _assemble(f, H, x_C, x_T, aps_res, weight_h_inputs)
-    return f.forward(z)
+    return f.forward(_assemble(f, H, x_C, x_T, aps_res))
 
 
 def grad_wrt_treatments(f: MlpClassifier, H: IndirectEstimator, x_C, x_T,
                         aps_res: ApsResult | None = None,
-                        include_aps_chain: bool = False,
-                        weight_h_inputs: bool = False) -> np.ndarray:
+                        include_aps_chain: bool = False) -> np.ndarray:
     """Total derivative of :func:`predict_proba` with respect to x_T.
 
     Accumulates both the indirect path (through H) and the direct treatment
     path. For a weighted classifier the weighting map contributes the factor
-    (phi + dphi * x_T) when ``include_aps_chain`` is set, and phi alone (the
-    propensity held constant) otherwise; with ``weight_h_inputs`` that factor
-    applies on the indirect path as well.
+    (phi + dphi * x_T) on the direct path when ``include_aps_chain`` is set,
+    and phi alone (the propensity held constant) otherwise.
     """
     x_C = np.asarray(x_C, dtype=np.float64)
     x_T = np.asarray(x_T, dtype=np.float64)
-    z, h_in = _assemble(f, H, x_C, x_T, aps_res, weight_h_inputs)
-    g = f.input_gradient(z)
+    g = f.input_gradient(_assemble(f, H, x_C, x_T, aps_res))
     n_c, n_i = f.n_controls, f.n_indirect
     g_I = g[n_c:n_c + n_i]
     g_w = g[n_c + n_i:]
@@ -307,9 +293,8 @@ def grad_wrt_treatments(f: MlpClassifier, H: IndirectEstimator, x_C, x_T,
             factor = aps_res.density
     else:
         factor = np.ones_like(x_T)
-    h_factor = factor if (weight_h_inputs and f.weighted) else np.ones_like(x_T)
-    jac = H.jacobian_wrt_treatments(x_C, h_in)
-    return h_factor * (jac.T @ g_I) + factor * g_w
+    jac = H.jacobian_wrt_treatments(x_C, x_T)
+    return jac.T @ g_I + factor * g_w
 
 
 def classifier_to_dict(f: MlpClassifier) -> dict:
@@ -358,17 +343,3 @@ def indirect_from_dict(doc: dict) -> IndirectEstimator:
         biases=[np.asarray(b, dtype=np.float64) for b in doc["biases"]],
         n_controls=doc["n_controls"], n_treatments=doc["n_treatments"],
         n_indirect=doc["n_indirect"], training_meta=doc.get("training_meta", {}))
-
-
-def save_model(obj, path) -> None:
-    doc = classifier_to_dict(obj) if isinstance(obj, MlpClassifier) else indirect_to_dict(obj)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-
-
-def load_model(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") == MLP_FORMAT:
-        return classifier_from_dict(doc)
-    return indirect_from_dict(doc)

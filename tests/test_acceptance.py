@@ -149,7 +149,7 @@ class TestCriterion3GpAps:
         t = student_ds.treatments()[:80, 0]
         gp = fit_gp(X, t, KernelConfig(2.0, 1.0, 1e-10),
                     optimize_hypers=False)
-        interp_err = max(abs(ci.predict(gp, X[i])[0] - t[i])
+        interp_err = max(abs(ci.predict_batch(gp, X[i][None])[0][0] - t[i])
                          for i in range(0, 80, 7))
         peak_err = abs(aps([0.5], [0.5], [0.2])[0]
                        - 1.0 / (np.sqrt(2 * np.pi) * 0.2))

@@ -6,6 +6,7 @@ import pytest
 
 from causalinv import synth
 from causalinv.cli import main
+from causalinv.data import Dataset, denormalize, load_dataset, normalize, split_half
 
 FAST = ["--folds", "2", "--epochs", "20", "--arch", "4", "--gp-restarts", "1"]
 
@@ -83,6 +84,32 @@ class TestOptimize:
         assert [r["row"] for r in records] == [0, 3, 5]
         for rec in records:
             assert rec["cost"] <= 2.0 + 1e-8
+
+    def test_raw_values(self, corpus, trained, tmp_path):
+        csv_path, schema_path = corpus
+        out = tmp_path / "raw"
+        code = main(["optimize", "--data", csv_path, "--schema", schema_path,
+                     "--out", str(out), "--artifacts", str(trained),
+                     "--budget", "2", "--variant", "g", "--lambda", "0.1",
+                     "--max-iters", "60", "--instances", "0,3,5"])
+        assert code == 0
+        records = json.loads((out / "policies.json").read_text())
+        raw = load_dataset(csv_path, schema_path)
+        _, raw_val = split_half(raw, 3)
+        _, val = split_half(normalize(raw), 3)
+        t_idx = list(raw.schema.treatment_idx)
+        assert any(any(d != 0.0 for d in rec["delta"]) for rec in records)
+        for rec in records:
+            i = rec["row"]
+            # original_raw: the row's treatment cells as read from the CSV
+            np.testing.assert_allclose(rec["original_raw"],
+                                       raw_val.X[i, t_idx], rtol=0, atol=1e-12)
+            # optimized_raw: the optimized treatments mapped back to raw units
+            x_star = val.X[i].copy()
+            x_star[t_idx] = rec["optimized"]
+            opt_row = Dataset(X=x_star[None], y=val.y[[i]], schema=val.schema,
+                              norm_params=val.norm_params)
+            assert rec["optimized_raw"] == denormalize(opt_row)[0, t_idx].tolist()
 
     def test_missing_artifacts_exit_2(self, corpus, tmp_path, capsys):
         csv_path, schema_path = corpus

@@ -89,6 +89,20 @@ class TestLoad:
         with pytest.raises(DataError, match="non-numeric"):
             ci.load_dataset(csv, _basic_schema(tmp_path))
 
+    def test_nan_treatment_cell(self, tmp_path):
+        csv = _write(tmp_path, "d.csv", "a,t,y\n1,2,0\n1,nan,1\n")
+        with pytest.raises(DataError,
+                           match="non-finite value 'nan' in numeric column "
+                                 "'t', row 1"):
+            ci.load_dataset(csv, _basic_schema(tmp_path))
+
+    def test_inf_control_cell(self, tmp_path):
+        csv = _write(tmp_path, "d.csv", "a,t,y\n1,2,0\n3,4,1\n-inf,5,0\n")
+        with pytest.raises(DataError,
+                           match="non-finite value '-inf' in numeric column "
+                                 "'a', row 2"):
+            ci.load_dataset(csv, _basic_schema(tmp_path))
+
     def test_label_outside_mapping(self, tmp_path):
         csv = _write(tmp_path, "d.csv", "a,t,y\n1,2,maybe\n")
         with pytest.raises(DataError, match="outside 0/1"):

@@ -3,25 +3,20 @@ import json
 import numpy as np
 import pytest
 
-from causalinv.experiment import (TrainSettings, _cell_grid, average_aps,
+from causalinv.experiment import (ADJUST_THRESHOLD, TrainSettings,
+                                  _cell_grid, _filter_3sigma, _policy_aps,
                                   ifee, report_to_dict, run_experiment,
-                                  treatment_frequency, write_sweep_csv)
-from causalinv.gp import ApsResult, KernelConfig, fit_gp
+                                  write_sweep_csv)
+from causalinv.gp import KernelConfig, fit_gp
 from causalinv.nets import IndirectEstimator, MlpClassifier
-from causalinv.optimize import PolicyResult, Variant
+from causalinv.optimize import Variant
 from tests.conftest import make_dataset, make_schema
 
 
-def _policy(density, x_star, x_bar):
-    x_star = np.asarray(x_star, dtype=float)
-    x_bar = np.asarray(x_bar, dtype=float)
-    k = len(x_star)
-    res = ApsResult(mean=np.zeros(k), std=np.ones(k),
-                    density=np.asarray(density, dtype=float),
-                    density_grad=np.zeros(k))
-    return PolicyResult(x_T_star=x_star, objective_trace=np.zeros(2),
-                        aps_star=res, iterations_used=1, cost_spent=0.0,
-                        iterates=np.vstack([x_bar, x_star]))
+def _inst_aps(density, x_star, x_bar):
+    return _policy_aps(np.asarray(density, dtype=float),
+                       np.asarray(x_star, dtype=float),
+                       np.asarray(x_bar, dtype=float), ADJUST_THRESHOLD)
 
 
 def _monotone_f(n_c, n_t, slope=2.5, weighted=False):
@@ -84,66 +79,41 @@ class TestIfee:
 
 
 class TestAverageAps:
+    """A cell's average APS as the sweep computes it: :func:`_policy_aps`
+    per instance, then :func:`_filter_3sigma` over the instances."""
+
     def test_identical_means_all_kept(self):
-        pols = [_policy([0.7, 0.7], [0.6, 0.6], [0.4, 0.4]) for _ in range(8)]
-        mean, kept = average_aps(pols)
+        inst = [_inst_aps([0.7, 0.7], [0.6, 0.6], [0.4, 0.4]) for _ in range(8)]
+        mean, kept = _filter_3sigma(inst)
         assert mean == pytest.approx(0.7)
         assert kept == 8
 
     def test_outlier_filtered(self):
         rng = np.random.default_rng(2)
         base = 0.5 + 0.01 * rng.standard_normal(99)
-        pols = [_policy([b], [0.6], [0.4]) for b in base]
-        s = float(np.std([float(np.mean(p.aps_star.density)) for p in pols]))
-        outlier = float(np.mean(base)) + 10 * s
-        pols.append(_policy([outlier], [0.6], [0.4]))
-        sd_all = float(np.std([float(p.aps_star.density[0]) for p in pols]))
-        assert abs(outlier - np.mean([p.aps_star.density[0] for p in pols])) > 3 * sd_all
-        mean, kept = average_aps(pols)
+        inst = [_inst_aps([b], [0.6], [0.4]) for b in base]
+        outlier = float(np.mean(base)) + 10 * float(np.std(inst))
+        inst.append(_inst_aps([outlier], [0.6], [0.4]))
+        assert abs(outlier - np.mean(inst)) > 3 * float(np.std(inst))
+        mean, kept = _filter_3sigma(inst)
         assert kept == 99
 
     def test_single_policy(self):
-        mean, kept = average_aps([_policy([0.41, 0.43], [0.6, 0.6], [0.4, 0.4])])
+        mean, kept = _filter_3sigma([_inst_aps([0.41, 0.43], [0.6, 0.6],
+                                               [0.4, 0.4])])
         assert mean == pytest.approx(0.42)
         assert kept == 1
 
     def test_adjusted_treatments_only(self):
         # only the moved coordinate's density enters the instance mean
-        pol = _policy([0.9, 0.1], [0.6, 0.4], [0.4, 0.4])
-        mean, kept = average_aps([pol])
-        assert mean == pytest.approx(0.9)
+        assert _inst_aps([0.9, 0.1], [0.6, 0.4], [0.4, 0.4]) == pytest.approx(0.9)
 
     def test_empty_policy_falls_back_to_all(self):
-        pol = _policy([0.9, 0.1], [0.4, 0.4], [0.4, 0.4])
-        mean, kept = average_aps([pol])
-        assert mean == pytest.approx(0.5)
+        assert _inst_aps([0.9, 0.1], [0.4, 0.4], [0.4, 0.4]) == pytest.approx(0.5)
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
-            average_aps([])
-
-
-class TestTreatmentFrequency:
-    def test_no_adjustment_zero_counts(self):
-        pols = [_policy([0.5], [0.4], [0.4]) for _ in range(5)]
-        counts = treatment_frequency(pols, [np.array([0.4])] * 5)
-        assert counts.tolist() == [0]
-
-    def test_infinite_threshold(self):
-        pols = [_policy([0.5, 0.5], [0.9, 0.1], [0.1, 0.9]) for _ in range(4)]
-        counts = treatment_frequency(pols, [np.array([0.1, 0.9])] * 4,
-                                     threshold=np.inf)
-        assert counts.tolist() == [0, 0]
-
-    def test_counts(self):
-        pols = [_policy([0.5, 0.5], [0.9, 0.4], [0.1, 0.4]),
-                _policy([0.5, 0.5], [0.2, 0.8], [0.1, 0.4])]
-        counts = treatment_frequency(pols, [np.array([0.1, 0.4])] * 2)
-        assert counts.tolist() == [2, 1]
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            treatment_frequency([_policy([0.5], [0.4], [0.4])], [])
+            _filter_3sigma([])
 
 
 class TestCellGrid:
@@ -205,3 +175,34 @@ class TestRunExperiment:
         # header + 2 metrics x (2 budgets x 2 lambdas for g + 2 budgets for f)
         assert len(lines) == 1 + 2 * (2 * 2 + 2)
         assert lines[0] == "variant,budget,lambda,metric,value"
+
+
+def _threshold_sweep(ds, budget, threshold):
+    return run_experiment(ds, budgets=[budget], lambdas=[0.5],
+                          variants=["g", "f"], seed=9, settings=SMALL_SETTINGS,
+                          max_iters=40, threshold=threshold)
+
+
+class TestTreatmentFrequency:
+    """Per-cell ``freq_counts``: instances whose policy moves a treatment by
+    more than the adjustment threshold."""
+
+    def test_no_adjustment_zero_counts(self, tiny_ds):
+        # at a zero budget no treatment moves, so even a zero threshold counts 0
+        rep = _threshold_sweep(tiny_ds, 0.0, 0.0)
+        for c in rep.cells:
+            assert c.n_instances > 0
+            assert c.freq_counts == (0, 0)
+
+    def test_infinite_threshold(self, tiny_ds):
+        rep = _threshold_sweep(tiny_ds, 0.4, np.inf)
+        for c in rep.cells:
+            assert c.n_instances > 0
+            assert c.freq_counts == (0, 0)
+
+    def test_counts(self, tiny_ds):
+        # a negative threshold counts every instance for every treatment
+        rep = _threshold_sweep(tiny_ds, 0.4, -1.0)
+        for c in rep.cells:
+            assert c.n_instances > 0
+            assert c.freq_counts == (c.n_instances, c.n_instances)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from causalinv.gp import (KernelConfig, aps, aps_gradient, fit_gp,
-                          gp_from_dict, gp_to_dict, make_aps_result, predict,
-                          predict_batch, weight_treatments)
+                          gp_from_dict, gp_to_dict, make_aps_result,
+                          predict_batch, treatment_profile, weight_treatments)
 from tests.oracles import central_diff, dense_gp_predict, dense_log_marginal
 
 
@@ -96,7 +96,7 @@ class TestFit:
 
     def test_noise_free_interpolation(self):
         gp, X, t = _toy_gp(noise=1e-10)
-        mean, std = predict(gp, X[3])
+        (mean,), (std,) = predict_batch(gp, X[3][None])
         assert abs(mean - t[3]) < 1e-5
         assert std < 1e-3 * np.sqrt(gp.kernel.signal_variance)
 
@@ -106,7 +106,8 @@ class TestFit:
         rng = np.random.default_rng(4)
         X = rng.random((10, 2))
         gp = fit_gp(X, rng.normal(0, 1, 10), cfg, optimize_hypers=False)
-        mean, std = predict(gp, X[0] + 20.0)  # >= 10 lengthscales away
+        # >= 10 lengthscales away
+        (mean,), (std,) = predict_batch(gp, (X[0] + 20.0)[None])
         assert abs(mean) < 1e-3
         assert abs(std - np.sqrt(2.0)) < 1e-3
 
@@ -115,7 +116,7 @@ class TestFit:
         rng = np.random.default_rng(5)
         for _ in range(10):
             q = rng.random(3)
-            mean, std = predict(gp, q)
+            (mean,), (std,) = predict_batch(gp, q[None])
             mean_o, std_o = dense_gp_predict(gp, q)
             assert abs(mean - mean_o) < 1e-8
             assert abs(std - std_o) < 1e-8
@@ -140,8 +141,8 @@ class TestFit:
         perm = np.random.default_rng(7).permutation(len(t))
         gp2 = fit_gp(X[perm], t[perm], gp.kernel, optimize_hypers=False)
         q = np.full(3, 0.4)
-        m1, s1 = predict(gp, q)
-        m2, s2 = predict(gp2, q)
+        (m1,), (s1,) = predict_batch(gp, q[None])
+        (m2,), (s2,) = predict_batch(gp2, q[None])
         assert abs(m1 - m2) < 1e-10
         assert abs(s1 - s2) < 1e-10
 
@@ -153,15 +154,15 @@ class TestFit:
         gp_k2 = fit_gp(X, rng.random(len(X)), gp_t.kernel, optimize_hypers=False)
         q = X[0]
         del gp_k1, gp_k2
-        m1, s1 = predict(gp_t, q)
+        (m1,), (s1,) = predict_batch(gp_t, q[None])
         res = make_aps_result([0.3], [m1], [s1])
-        m2, s2 = predict(gp_t, q)
+        (m2,), (s2,) = predict_batch(gp_t, q[None])
         res2 = make_aps_result([0.3], [m2], [s2])
         np.testing.assert_array_equal(res.density, res2.density)
 
     def test_variance_floor(self):
         gp, X, _ = _toy_gp(noise=0.0)
-        _, std = predict(gp, X[0])
+        _, (std,) = predict_batch(gp, X[0][None])
         assert std >= 1e-6
 
 
@@ -171,7 +172,8 @@ class TestSerialization:
         doc = json.loads(json.dumps(gp_to_dict(gp)))
         back = gp_from_dict(doc)
         q = np.full(3, 0.27)
-        np.testing.assert_allclose(predict(back, q), predict(gp, q), atol=1e-12)
+        np.testing.assert_allclose(predict_batch(back, q[None]),
+                                   predict_batch(gp, q[None]), atol=1e-12)
 
     def test_format_checked(self):
         with pytest.raises(ValueError):
@@ -180,10 +182,19 @@ class TestSerialization:
 
 class TestBatchConsistency:
     def test_batch_matches_single(self):
-        gp, X, _ = _toy_gp(noise=0.04)
+        gps = [_toy_gp(noise=0.04)[0], _toy_gp(noise=0.02, seed=1)[0]]
         Q = np.random.default_rng(10).random((7, 3))
-        means, stds = predict_batch(gp, Q)
+        means, stds = treatment_profile(gps, Q)
+        assert means.shape == stds.shape == (7, 2)
+        # a matrix: the columns are each GP's own batch prediction
+        for j, gp in enumerate(gps):
+            m, s = predict_batch(gp, Q)
+            assert np.abs(m - means[:, j]).max() < 1e-12
+            assert np.abs(s - stds[:, j]).max() < 1e-12
+        # one row: the same as the one-row matrix call
         for i in range(7):
-            m, s = predict(gp, Q[i])
-            assert abs(m - means[i]) < 1e-12
-            assert abs(s - stds[i]) < 1e-12
+            m, s = treatment_profile(gps, Q[i])
+            m_row, s_row = treatment_profile(gps, Q[i][None])
+            assert m.shape == s.shape == (2,)
+            assert np.abs(m - m_row[0]).max() < 1e-12
+            assert np.abs(s - s_row[0]).max() < 1e-12
