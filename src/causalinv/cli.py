@@ -157,6 +157,10 @@ def cmd_optimize(args) -> int:
     f = f_p if variant is Variant.NON_CAUSAL_F else f_w
 
     rows = _split_list(args.instances, int) or list(range(val_half.n))
+    for i in rows:
+        if not 0 <= i < val_half.n:
+            raise ValueError(f"--instances position {i} outside the "
+                             f"validation half [0, {val_half.n})")
     cfg = OptimizationConfig(budget=budgets[0], step=args.step,
                              max_iters=args.max_iters, lam=lams[0],
                              variant=variant)

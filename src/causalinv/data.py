@@ -131,7 +131,9 @@ def load_dataset(path, schema_path):
     Categorical columns are one-hot expanded in place: a two-level column
     becomes a single indicator for its (lexicographically) second level, a
     k-level column (k >= 3) becomes k indicators. Role assignments, costs and
-    bounds carry over from the original column to its indicator(s).
+    bounds carry over from the original column to its indicator(s). A
+    non-numeric or non-finite numeric cell, and a treatment value outside its
+    bounds, raise :class:`DataError` naming the value, column and row.
     """
     raw = _parse_schema_file(schema_path)
     label_col = raw["label"]
@@ -245,6 +247,13 @@ def load_dataset(path, schema_path):
         feature_names=tuple(out_names),
         categorical_cols=tuple(categorical),
     )
+    XT = X[:, list(treatment_idx)]
+    outside = (XT < schema.lower) | (XT > schema.upper)
+    if outside.any():
+        i, k = (int(v) for v in np.argwhere(outside)[0])
+        raise DataError(f"treatment value {float(XT[i, k])!r} in column "
+                        f"{out_names[treatment_idx[k]]!r}, row {i} outside its "
+                        f"bounds [{schema.lower[k]:g}, {schema.upper[k]:g}]")
     return Dataset(X=X, y=y, schema=schema)
 
 

@@ -206,7 +206,8 @@ def run_experiment(ds: Dataset, budgets, lambdas, variants, seed: int,
     models for every sweep cell, scored with the validation-side models, and
     aggregated into per-cell average iFEE, filtered average APS and
     treatment-adjustment counts. Failed optimizations are excluded from the
-    averages and reported per cell, never silently dropped.
+    averages and reported per cell, never silently dropped; a cell in which
+    every row failed reports NaN averages.
     """
     if ds.norm_params is None:
         raise ValueError("dataset must be normalized first")
@@ -252,10 +253,14 @@ def run_experiment(ds: Dataset, budgets, lambdas, variants, seed: int,
             effs.append(eff)
             apses.append(inst_aps)
             freq += adjusted
-        aps_mean, kept = _filter_3sigma(apses)
+        if effs:
+            ifee_mean = float(np.mean(effs))
+            aps_mean, kept = _filter_3sigma(apses)
+        else:  # every row failed: report the cell rather than abort the sweep
+            ifee_mean, aps_mean, kept = float("nan"), float("nan"), 0
         cell_stats.append(CellStats(
             variant=variant.value, budget=budget, lam=lam,
-            ifee_mean=float(np.mean(effs)), aps_mean=aps_mean, kept=kept,
+            ifee_mean=ifee_mean, aps_mean=aps_mean, kept=kept,
             n_instances=len(effs), n_failed=len(failed),
             failed_rows=tuple(failed), freq_counts=tuple(int(c) for c in freq)))
 

@@ -107,14 +107,15 @@ class MlpClassifier:
         return float(p[0]) if single else p
 
     def input_gradient(self, z):
-        """Gradient of the output probability with respect to one input row."""
+        """Output probability at one input row, as :meth:`forward` gives it,
+        and its gradient with respect to the row."""
         acts, z_out = _forward_tanh(np.asarray(z, dtype=np.float64)[None, :],
                                     self.weights, self.biases)
-        p = 1.0 / (1.0 + np.exp(-z_out[0, 0]))
-        delta = np.array([[p * (1.0 - p)]])
+        p = 1.0 / (1.0 + np.exp(-z_out[:, 0]))
+        delta = (p * (1.0 - p))[:, None]
         for li in range(len(self.weights) - 1, 0, -1):
             delta = (delta @ self.weights[li]) * (1.0 - acts[li] ** 2)
-        return (delta @ self.weights[0])[0]
+        return float(p[0]), (delta @ self.weights[0])[0]
 
 
 @dataclass
@@ -152,9 +153,10 @@ class IndirectEstimator:
         return out[0] if single else out
 
     def jacobian_wrt_treatments(self, x_C, x_T):
-        """d(predict)/d(x_T), zero rows where the output clip saturates."""
+        """:meth:`predict` at one row and d(predict)/d(x_T), with zero
+        Jacobian rows where the output clip saturates."""
         if self.n_indirect == 0:
-            return np.zeros((0, self.n_treatments))
+            return np.zeros(0), np.zeros((0, self.n_treatments))
         z = np.concatenate([np.asarray(x_C, dtype=np.float64),
                             np.asarray(x_T, dtype=np.float64)])[None, :]
         acts, z_out = _forward_tanh(z, self.weights, self.biases)
@@ -162,7 +164,7 @@ class IndirectEstimator:
         inside = ((z_out[0] > 0.0) & (z_out[0] < 1.0)).astype(np.float64)
         W_out, W_in = self.weights[1], self.weights[0]
         jac = (W_out * (1.0 - a1 ** 2)[None, :]) @ W_in[:, self.n_controls:]
-        return jac * inside[:, None]
+        return np.clip(z_out[0], 0.0, 1.0), jac * inside[:, None]
 
 
 def _weighted_design(ds, gps):
@@ -250,14 +252,13 @@ def train_indirect(ds, seed: int = 0, epochs: int = DEFAULT_EPOCHS,
                                             "batch": batch, "seed": seed})
 
 
-def _assemble(f: MlpClassifier, H: IndirectEstimator, x_C, x_T, aps_res):
-    x_C = np.asarray(x_C, dtype=np.float64)
-    x_T = np.asarray(x_T, dtype=np.float64)
+def _assemble(f: MlpClassifier, x_C, h, x_T, aps_res):
+    """Classifier input row from controls, indirect features and treatments."""
     if f.weighted and aps_res is None:
         raise ValueError("classifier was trained on weighted treatments; "
                          "an ApsResult is required")
     w = weight_treatments(x_T, aps_res.density) if f.weighted else x_T
-    return np.concatenate([x_C, H.predict(x_C, x_T), w])
+    return np.concatenate([x_C, h, w])
 
 
 def predict_proba(f: MlpClassifier, H: IndirectEstimator, x_C, x_T,
@@ -267,13 +268,16 @@ def predict_proba(f: MlpClassifier, H: IndirectEstimator, x_C, x_T,
     The indirect estimator consumes raw treatments; only the classifier's
     direct treatment inputs are propensity-weighted.
     """
-    return f.forward(_assemble(f, H, x_C, x_T, aps_res))
+    x_C = np.asarray(x_C, dtype=np.float64)
+    x_T = np.asarray(x_T, dtype=np.float64)
+    return f.forward(_assemble(f, x_C, H.predict(x_C, x_T), x_T, aps_res))
 
 
 def grad_wrt_treatments(f: MlpClassifier, H: IndirectEstimator, x_C, x_T,
                         aps_res: ApsResult | None = None,
-                        include_aps_chain: bool = False) -> np.ndarray:
-    """Total derivative of :func:`predict_proba` with respect to x_T.
+                        include_aps_chain: bool = False) -> tuple:
+    """:func:`predict_proba` at x_T and its total derivative with respect to
+    x_T, as ``(value, gradient)`` from one pass of each network.
 
     Accumulates both the indirect path (through H) and the direct treatment
     path. For a weighted classifier the weighting map contributes the factor
@@ -282,7 +286,8 @@ def grad_wrt_treatments(f: MlpClassifier, H: IndirectEstimator, x_C, x_T,
     """
     x_C = np.asarray(x_C, dtype=np.float64)
     x_T = np.asarray(x_T, dtype=np.float64)
-    g = f.input_gradient(_assemble(f, H, x_C, x_T, aps_res))
+    h, jac = H.jacobian_wrt_treatments(x_C, x_T)
+    p, g = f.input_gradient(_assemble(f, x_C, h, x_T, aps_res))
     n_c, n_i = f.n_controls, f.n_indirect
     g_I = g[n_c:n_c + n_i]
     g_w = g[n_c + n_i:]
@@ -293,8 +298,7 @@ def grad_wrt_treatments(f: MlpClassifier, H: IndirectEstimator, x_C, x_T,
             factor = aps_res.density
     else:
         factor = np.ones_like(x_T)
-    jac = H.jacobian_wrt_treatments(x_C, x_T)
-    return jac.T @ g_I + factor * g_w
+    return p, jac.T @ g_I + factor * g_w
 
 
 def classifier_to_dict(f: MlpClassifier) -> dict:

@@ -2,8 +2,10 @@
 
 The feasible set couples a box per treatment with an asymmetric-cost budget:
 deviations from the instance's current treatments are priced per direction and
-their total must stay within the budget. Projection onto that set is exact,
-via bisection on the scalar multiplier of the weighted-l1 constraint.
+their total must stay within the budget. Projection onto that set is exact:
+the cost of the shrunk point is piecewise linear in the multiplier of the
+weighted-l1 constraint, so the multiplier is solved in closed form between
+the sorted breakpoints.
 
 Four descent directions are supported: the plain classifier gradient, the
 propensity-weighted classifier with the weighting held constant, the same
@@ -19,10 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .gp import ApsResult, make_aps_result, treatment_profile
-from .nets import grad_wrt_treatments, predict_proba
-
-PROJ_COST_TOL = 1e-10
-PROJ_BRACKET_TOL = 1e-14
+from .nets import grad_wrt_treatments
 
 
 class Variant(str, Enum):
@@ -78,21 +77,31 @@ class PolicyResult:
     iterates: np.ndarray  # (iterations_used + 1, |T|), starting at x_bar_T
 
 
-def cost(z, c_up, c_down) -> float:
-    """Asymmetric deviation cost: increases priced by c_up, decreases by c_down."""
+def cost(z, c_up, c_down):
+    """Asymmetric deviation cost: increases priced by c_up, decreases by c_down.
+
+    One deviation vector gives a float; a stack of them, one per row, gives
+    an array with one cost per row.
+    """
     z = np.asarray(z, dtype=np.float64)
-    return float(np.sum(np.asarray(c_up) * np.maximum(z, 0.0)
-                        + np.asarray(c_down) * np.maximum(-z, 0.0)))
+    total = np.sum(np.asarray(c_up) * np.maximum(z, 0.0)
+                   + np.asarray(c_down) * np.maximum(-z, 0.0), axis=-1)
+    return total if total.ndim else float(total)
 
 
 def project(x, x_bar, c_up, c_down, B, l, u) -> np.ndarray:
     """Euclidean projection onto {x : cost(x - x_bar) <= B, l <= x <= u}.
 
-    Box-clips first; if the clipped point is within budget it is returned.
-    Otherwise each coordinate is soft-thresholded toward ``x_bar`` with
-    threshold theta times its directional cost (then box-clipped), and theta
-    is found by bisection so the budget binds. Coordinates whose cost in the
-    active direction is zero are never shrunk.
+    Requires ``l <= x_bar <= u``. Box-clips first; if the clipped point is
+    within budget it is returned. Otherwise each coordinate is
+    soft-thresholded toward ``x_bar`` with threshold theta times its
+    directional cost, then box-clipped; coordinates whose cost in the active
+    direction is zero are never shrunk. The cost of that point is piecewise
+    linear and nonincreasing in theta, with kinks where a coordinate comes
+    off its box face and where it reaches ``x_bar``. The cost is evaluated
+    at the sorted kinks and theta is solved exactly on the segment where it
+    crosses B: the weighted, boxed form of the l1-ball projection of Duchi
+    et al. (ICML 2008) and Condat (Math. Prog. 2016).
     """
     x = np.asarray(x, dtype=np.float64)
     x_bar = np.asarray(x_bar, dtype=np.float64)
@@ -100,74 +109,60 @@ def project(x, x_bar, c_up, c_down, B, l, u) -> np.ndarray:
     c_down = np.asarray(c_down, dtype=np.float64)
     l = np.asarray(l, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
-    if np.any(l > u):
-        raise ValueError("infeasible bounds: lower exceeds upper")
+    if not np.all((l <= x_bar) & (x_bar <= u)):
+        raise ValueError("x_bar lies outside the box [l, u]")
 
     clipped = np.clip(x, l, u)
     if cost(clipped - x_bar, c_up, c_down) <= B:
         return clipped
 
     d = x - x_bar
-    sign = np.sign(d)
     c_dir = np.where(d > 0, c_up, np.where(d < 0, c_down, 0.0))
-
-    def shrunk(theta):
-        mag = np.maximum(np.abs(d) - theta * c_dir, 0.0)
-        keep = c_dir == 0
-        mag = np.where(keep, np.abs(d), mag)
-        return np.clip(x_bar + sign * mag, l, u)
-
+    costed = c_dir > 0
     if B <= 0.0:
         # budget forces exactly zero costed deviation
-        free = c_dir == 0
-        return np.where(free, clipped, x_bar)
+        return np.where(costed, x_bar, clipped)
 
-    costed = c_dir > 0
-    theta_hi = float(np.max(np.abs(d[costed]) / c_dir[costed])) if costed.any() else 0.0
-    lo, hi = 0.0, theta_hi
-    while hi - lo >= PROJ_BRACKET_TOL:
-        mid = 0.5 * (lo + hi)
-        psi = cost(shrunk(mid) - x_bar, c_up, c_down)
-        if psi > B:
-            lo = mid
-        else:
-            hi = mid
-            if B - psi <= PROJ_COST_TOL:
-                break
-    return shrunk(hi)
+    c_safe = np.where(costed, c_dir, 1.0)
+    reach = np.abs(d) / c_safe  # theta at which a costed coordinate hits x_bar
+    leave = reach - np.abs(clipped - x_bar) / c_safe  # ... leaves its box face
 
+    def shrunk(theta):
+        # c * (reach - theta), not |d| - theta * c: past its reach a costed
+        # coordinate sits exactly at x_bar, so psi ends at exactly 0
+        mag = np.where(costed, c_dir * np.maximum(reach - theta, 0.0), np.abs(d))
+        return np.clip(x_bar + np.sign(d) * mag, l, u)
 
-def _regularizer(x_T, means, stds, lam):
-    return lam * float(np.sum((x_T - means) ** 2 / (2.0 * stds * stds)))
+    kinks = np.unique(np.concatenate([[0.0], leave[costed], reach[costed]]))
+    # psi falls from about cost(clipped) > B at theta = 0 to 0 at the last
+    # kink, linearly between kinks
+    psi = cost(shrunk(kinks[:, None]) - x_bar, c_up, c_down)
+    return shrunk(np.interp(B, psi[::-1], kinks[::-1]))
 
 
 def objective_value(x_T, x_bar, f, H, gps, schema, cfg: OptimizationConfig,
                     profile=None) -> float:
     """Variant-dependent objective at a candidate treatment vector."""
     x_bar = np.asarray(x_bar, dtype=np.float64)
-    x_T = np.asarray(x_T, dtype=np.float64)
     x_C = x_bar[list(schema.control_idx)]
     means, stds = treatment_profile(gps, x_C) if profile is None else profile
-    variant = Variant(cfg.variant)
-    if variant is Variant.NON_CAUSAL_F:
-        return predict_proba(f, H, x_C, x_T, None)
-    aps_res = make_aps_result(x_T, means, stds)
-    val = predict_proba(f, H, x_C, x_T, aps_res)
-    if variant is Variant.G:
-        val += _regularizer(x_T, means, stds, cfg.lam)
-    return val
+    return _value_and_direction(f, H, x_C, np.asarray(x_T, dtype=np.float64),
+                                means, stds, cfg)[0]
 
 
-def _direction(f, H, x_C, x_T, means, stds, cfg):
+def _value_and_direction(f, H, x_C, x_T, means, stds, cfg):
+    """Objective value and descent direction of ``cfg.variant`` at ``x_T``,
+    from one pass of the classifier and the indirect estimator."""
     variant = Variant(cfg.variant)
     if variant is Variant.NON_CAUSAL_F:
         return grad_wrt_treatments(f, H, x_C, x_T, None, include_aps_chain=False)
     aps_res = make_aps_result(x_T, means, stds)
     chain = variant in (Variant.FPRIME_OPT, Variant.G)
-    d = grad_wrt_treatments(f, H, x_C, x_T, aps_res, include_aps_chain=chain)
+    val, d = grad_wrt_treatments(f, H, x_C, x_T, aps_res, include_aps_chain=chain)
     if variant is Variant.G:
+        val += cfg.lam * float(np.sum((x_T - means) ** 2 / (2.0 * stds * stds)))
         d = d + cfg.lam * (x_T - means) / (stds * stds)
-    return d
+    return val, d
 
 
 def optimize(x_bar, f, H, gps, schema, cfg: OptimizationConfig,
@@ -176,7 +171,9 @@ def optimize(x_bar, f, H, gps, schema, cfg: OptimizationConfig,
 
     The assignment GPs' predictive moments depend only on the controls and are
     computed once (or passed in as ``profile``); the propensity density and
-    its derivative are refreshed at every iterate. Stops at ``max_iters`` or
+    its derivative are refreshed at every iterate, and one pass of the
+    networks gives both the iterate's objective value and the direction of
+    the next step. Stops at ``max_iters`` or
     once the best objective has not improved by ``tol`` for ``patience``
     consecutive iterations, and returns the best-objective iterate visited.
     """
@@ -192,23 +189,19 @@ def optimize(x_bar, f, H, gps, schema, cfg: OptimizationConfig,
     c_up, c_down = schema.cost_up, schema.cost_down
     l, u = schema.lower, schema.upper
 
-    def obj(xt):
-        return objective_value(xt, x_bar, f, H, gps, schema, cfg,
-                               profile=(means, stds))
-
     x_T = x_bar_T.copy()
-    trace = [obj(x_T)]
+    val, d = _value_and_direction(f, H, x_C, x_T, means, stds, cfg)
+    trace = [val]
     iterates = [x_T.copy()]
-    best_obj, best_x = trace[0], x_T.copy()
+    best_obj, best_x = val, x_T.copy()
     stall = 0
     iterations = 0
     for m in range(cfg.max_iters):
-        d = _direction(f, H, x_C, x_T, means, stds, cfg)
         if not np.all(np.isfinite(d)):
             raise OptimizationError(f"non-finite gradient at iteration {m}")
         x_T = project(x_T - cfg.step * d, x_bar_T, c_up, c_down, cfg.budget, l, u)
         iterations += 1
-        val = obj(x_T)
+        val, d = _value_and_direction(f, H, x_C, x_T, means, stds, cfg)
         trace.append(val)
         iterates.append(x_T.copy())
         if val < best_obj - cfg.tol:

@@ -15,8 +15,9 @@ from causalinv.experiment import (TrainSettings, fit_side_models,
                                   report_to_dict, run_experiment)
 from causalinv.gp import KernelConfig, aps, aps_gradient, fit_gp, make_aps_result
 from causalinv.nets import grad_wrt_treatments, predict_proba
-from causalinv.optimize import (OptimizationConfig, Variant, _direction, cost,
-                                objective_value, optimize, project)
+from causalinv.optimize import (OptimizationConfig, Variant,
+                                _value_and_direction, cost, objective_value,
+                                optimize, project)
 from tests.oracles import central_diff, grid_project
 
 SWEEP_SEED = 1
@@ -81,7 +82,8 @@ class TestCriterion1Gradients:
                                  (Variant.G, 0.8)):
                 cfg = OptimizationConfig(budget=1.0, lam=lam, variant=variant)
                 f = side.f_plain if variant is Variant.NON_CAUSAL_F else side.f_weighted
-                d = _direction(f, side.H, x_C, x_T, prof[0], prof[1], cfg)
+                _, d = _value_and_direction(f, side.H, x_C, x_T, prof[0],
+                                            prof[1], cfg)
                 if variant is Variant.FPRIME_NOOPT:
                     # propensity frozen at the evaluation point
                     fn = lambda xt: predict_proba(f, side.H, x_C, xt, res)
@@ -188,7 +190,7 @@ class TestCriterion4ObjectiveUpdateConsistency:
             means, stds = prof
             res = make_aps_result(x_T, means, stds)
             update = (grad_wrt_treatments(side.f_weighted, side.H, x_C, x_T,
-                                          res, include_aps_chain=True)
+                                          res, include_aps_chain=True)[1]
                       + cfg.lam * (x_T - means) / (stds * stds))
             fd = central_diff(
                 lambda xt: objective_value(xt, row, side.f_weighted, side.H,

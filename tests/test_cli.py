@@ -111,6 +111,17 @@ class TestOptimize:
                               norm_params=val.norm_params)
             assert rec["optimized_raw"] == denormalize(opt_row)[0, t_idx].tolist()
 
+    @pytest.mark.parametrize("position", ["999", "-1"])
+    def test_instances_outside_validation_half(self, corpus, trained, tmp_path,
+                                               capsys, position):
+        csv_path, schema_path = corpus
+        code = main(["optimize", "--data", csv_path, "--schema", schema_path,
+                     "--out", str(tmp_path / "bad"), "--artifacts", str(trained),
+                     "--budget", "1", "--instances", f"0,{position}"])
+        assert code == 2
+        assert f"--instances position {position} outside" in capsys.readouterr().err
+        assert not (tmp_path / "bad" / "policies.json").exists()
+
     def test_missing_artifacts_exit_2(self, corpus, tmp_path, capsys):
         csv_path, schema_path = corpus
         code = main(["optimize", "--data", csv_path, "--schema", schema_path,

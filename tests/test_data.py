@@ -103,6 +103,13 @@ class TestLoad:
                                  "'a', row 2"):
             ci.load_dataset(csv, _basic_schema(tmp_path))
 
+    def test_treatment_above_upper_bound(self, tmp_path):
+        csv = _write(tmp_path, "d.csv", "a,t,y\n1,2,0\n1,12,1\n")
+        with pytest.raises(DataError,
+                           match=r"treatment value 12.0 in column 't', row 1 "
+                                 r"outside its bounds \[0, 10\]"):
+            ci.load_dataset(csv, _basic_schema(tmp_path))
+
     def test_label_outside_mapping(self, tmp_path):
         csv = _write(tmp_path, "d.csv", "a,t,y\n1,2,maybe\n")
         with pytest.raises(DataError, match="outside 0/1"):

@@ -9,7 +9,7 @@ from causalinv.experiment import (ADJUST_THRESHOLD, TrainSettings,
                                   write_sweep_csv)
 from causalinv.gp import KernelConfig, fit_gp
 from causalinv.nets import IndirectEstimator, MlpClassifier
-from causalinv.optimize import Variant
+from causalinv.optimize import OptimizationError, Variant
 from tests.conftest import make_dataset, make_schema
 
 
@@ -152,6 +152,32 @@ class TestRunExperiment:
         r2 = run_experiment(tiny_ds, **kw)
         assert json.dumps(report_to_dict(r1), sort_keys=True) == \
                json.dumps(report_to_dict(r2), sort_keys=True)
+
+    def test_cell_where_every_row_fails_is_reported(self, tiny_ds, monkeypatch):
+        import causalinv.experiment as experiment
+        kw = dict(budgets=[0.0, 0.4], lambdas=[0.5],
+                  variants=["g", "fprime-noopt", "f"], seed=9,
+                  settings=SMALL_SETTINGS, max_iters=40)
+        clean = run_experiment(tiny_ds, **kw)
+        real = experiment.optimize
+
+        def fail_fprime(x_bar, f, H, gps, schema, cfg, profile=None):
+            if cfg.variant is Variant.FPRIME_NOOPT:
+                raise OptimizationError("forced failure")
+            return real(x_bar, f, H, gps, schema, cfg, profile=profile)
+
+        monkeypatch.setattr(experiment, "optimize", fail_fprime)
+        rep = run_experiment(tiny_ds, **kw)
+        assert len(rep.cells) == len(clean.cells) == 6
+        for cell, ref in zip(rep.cells, clean.cells):
+            if cell.variant != "fprime-noopt":
+                assert cell == ref
+                continue
+            assert cell.n_instances == 0 and cell.kept == 0
+            assert cell.n_failed == rep.n_val
+            assert cell.failed_rows == tuple(range(rep.n_val))
+            assert np.isnan(cell.ifee_mean) and np.isnan(cell.aps_mean)
+            assert cell.freq_counts == (0, 0)
 
     def test_requires_normalized(self, tiny_ds):
         from causalinv.data import Dataset

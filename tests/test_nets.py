@@ -137,7 +137,8 @@ class TestIndirect:
         H = train_indirect(ds, seed=0, epochs=10)
         assert H.n_indirect == 0
         assert H.predict(np.zeros(2), np.zeros(2)).shape == (0,)
-        assert H.jacobian_wrt_treatments(np.zeros(2), np.zeros(2)).shape == (0, 2)
+        h, jac = H.jacobian_wrt_treatments(np.zeros(2), np.zeros(2))
+        assert h.shape == (0,) and jac.shape == (0, 2)
 
 
 class TestPredictProba:
@@ -190,7 +191,7 @@ class TestGradient:
         rng = np.random.default_rng(21)
         for _ in range(25):
             x_C, x_T = rng.random(3), rng.random(2)
-            g = grad_wrt_treatments(f, H, x_C, x_T)
+            _, g = grad_wrt_treatments(f, H, x_C, x_T)
             fd = central_diff(lambda xt: predict_proba(f, H, x_C, xt), x_T)
             assert np.abs(g - fd).max() < 1e-5
 
@@ -202,14 +203,14 @@ class TestGradient:
             x_C, x_T = rng.random(3), rng.random(2)
             res = make_aps_result(x_T, means, stds)
             # propensity frozen at the evaluation point
-            g_frozen = grad_wrt_treatments(f, H, x_C, x_T, res,
-                                           include_aps_chain=False)
+            _, g_frozen = grad_wrt_treatments(f, H, x_C, x_T, res,
+                                              include_aps_chain=False)
             fd_frozen = central_diff(
                 lambda xt: predict_proba(f, H, x_C, xt, res), x_T)
             assert np.abs(g_frozen - fd_frozen).max() < 1e-5
             # full chain: density recomputed at each probe point
-            g_chain = grad_wrt_treatments(f, H, x_C, x_T, res,
-                                          include_aps_chain=True)
+            _, g_chain = grad_wrt_treatments(f, H, x_C, x_T, res,
+                                             include_aps_chain=True)
             fd_chain = central_diff(
                 lambda xt: predict_proba(f, H, x_C, xt,
                                          make_aps_result(xt, means, stds)),
@@ -221,7 +222,7 @@ class TestGradient:
         f.weights = [np.zeros_like(w) for w in f.weights]
         f.biases = [np.zeros_like(b) for b in f.biases]
         H = _random_indirect(2, 2, 1, seed=25)
-        g = grad_wrt_treatments(f, H, np.ones(2), np.ones(2))
+        _, g = grad_wrt_treatments(f, H, np.ones(2), np.ones(2))
         np.testing.assert_array_equal(g, np.zeros(2))
 
     def test_unit_density_chain_flag_irrelevant(self):
@@ -230,8 +231,8 @@ class TestGradient:
         from causalinv.gp import ApsResult
         res = ApsResult(mean=x_T.copy(), std=np.ones(2),
                         density=np.ones(2), density_grad=np.zeros(2))
-        g_off = grad_wrt_treatments(f, H, x_C, x_T, res, include_aps_chain=False)
-        g_on = grad_wrt_treatments(f, H, x_C, x_T, res, include_aps_chain=True)
+        _, g_off = grad_wrt_treatments(f, H, x_C, x_T, res, include_aps_chain=False)
+        _, g_on = grad_wrt_treatments(f, H, x_C, x_T, res, include_aps_chain=True)
         np.testing.assert_allclose(g_off, g_on, atol=1e-15)
 
 

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from causalinv.gp import KernelConfig, fit_gp, make_aps_result, treatment_profile
-from causalinv.nets import IndirectEstimator, MlpClassifier
+from causalinv.nets import IndirectEstimator, MlpClassifier, predict_proba
 from causalinv.optimize import (OptimizationConfig, OptimizationError,
-                                PolicyResult, Variant, cost, objective_value,
-                                optimize, project)
+                                PolicyResult, Variant, _value_and_direction,
+                                cost, objective_value, optimize, project)
 from tests.conftest import make_schema
 from tests.oracles import central_diff, grid_project
+from tests.test_nets import _random_classifier, _random_indirect
 
 
 class TestCost:
@@ -95,6 +98,70 @@ class TestProjection:
     def test_infeasible_bounds_rejected(self):
         with pytest.raises(ValueError):
             project([0.5], [0.5], [1.0], [1.0], 1.0, [1.0], [0.0])
+        # an anchor outside its box has no feasible point within budget
+        for B in (0.0, 0.1):
+            with pytest.raises(ValueError, match="outside the box"):
+                project([0.5, 0.5], [1.25, 0.5], [1, 1], [1, 1], B,
+                        [0, 0], [1, 1])
+
+
+@st.composite
+def _projection_problem(draw):
+    """A point, an anchor inside its box, prices (some zero) and a budget."""
+    k = draw(st.integers(1, 6))
+
+    def vec(lo, hi):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=k,
+                                      max_size=k)))
+
+    def prices():
+        price = st.one_of(st.just(0.0), st.floats(0.1, 3.0))
+        return np.array(draw(st.lists(price, min_size=k, max_size=k)))
+
+    l = vec(-1.0, 0.0)
+    u = l + vec(0.0, 2.0)
+    x_bar = np.clip(l + vec(0.0, 1.0) * (u - l), l, u)
+    return (x_bar + vec(-3.0, 3.0), x_bar, prices(), prices(),
+            draw(st.floats(0.0, 3.0)), l, u)
+
+
+PROPERTY = settings(derandomize=True, max_examples=300, deadline=None)
+
+
+class TestProjectionProperties:
+    @PROPERTY
+    @given(_projection_problem())
+    def test_feasible(self, prob):
+        v, x_bar, c_up, c_down, B, l, u = prob
+        out = project(v, x_bar, c_up, c_down, B, l, u)
+        assert np.all((l <= out) & (out <= u))
+        assert cost(out - x_bar, c_up, c_down) <= B + 1e-12 * max(1.0, B)
+
+    @PROPERTY
+    @given(_projection_problem())
+    def test_idempotent(self, prob):
+        v, x_bar, c_up, c_down, B, l, u = prob
+        once = project(v, x_bar, c_up, c_down, B, l, u)
+        twice = project(once, x_bar, c_up, c_down, B, l, u)
+        assert np.abs(once - twice).max() <= 1e-10
+
+    @PROPERTY
+    @given(_projection_problem(), st.lists(st.floats(-2.0, 2.0), min_size=6,
+                                           max_size=6))
+    def test_nonexpansive(self, prob, shift):
+        v1, x_bar, c_up, c_down, B, l, u = prob
+        v2 = v1 + np.array(shift[:len(v1)])
+        p1 = project(v1, x_bar, c_up, c_down, B, l, u)
+        p2 = project(v2, x_bar, c_up, c_down, B, l, u)
+        assert np.linalg.norm(p1 - p2) <= np.linalg.norm(v1 - v2) + 1e-10
+
+    @PROPERTY
+    @given(_projection_problem())
+    def test_binding_budget_spent_exactly(self, prob):
+        v, x_bar, c_up, c_down, B, l, u = prob
+        assume(cost(np.clip(v, l, u) - x_bar, c_up, c_down) > B)
+        out = project(v, x_bar, c_up, c_down, B, l, u)
+        assert abs(cost(out - x_bar, c_up, c_down) - B) <= 1e-12 * max(1.0, B)
 
 
 def _monotone_classifier(n_c, n_t, slope=2.0, weighted=False):
@@ -258,10 +325,69 @@ class TestObjective:
             x_T = rng.uniform(0.3, 0.7, 2)
             res = make_aps_result(x_T, means, stds)
             direction = (grad_wrt_treatments(self.f, self.H, self.x_bar[:1],
-                                             x_T, res, include_aps_chain=True)
+                                             x_T, res, include_aps_chain=True)[1]
                          + 0.7 * (x_T - means) / (stds * stds))
             fd = central_diff(
                 lambda xt: objective_value(xt, self.x_bar, self.f, self.H,
                                            self.gps, self.schema, cfg,
                                            profile=(means, stds)), x_T)
             assert np.abs(direction - fd).max() < 1e-5
+
+
+class TestOneEvaluationPerIterate:
+    """Each iterate's objective value comes from the same network pass as its
+    descent direction."""
+
+    def setup_method(self):
+        self.schema = make_schema(2, 2, 2)
+        self.H = _random_indirect(2, 2, 2, seed=13)
+        self.f = {weighted: _random_classifier(2, 2, 2, seed=14,
+                                               weighted=weighted)
+                  for weighted in (False, True)}
+        self.gps = _fitted_gps(2, n_c=2)
+        self.x_bar = np.array([0.3, 0.6, 0.4, 0.5, 0.45, 0.55])
+        self.cfgs = [OptimizationConfig(budget=1.0, lam=0.7 * (v is Variant.G),
+                                        variant=v) for v in Variant]
+
+    def test_value_is_predict_proba_bit_for_bit(self):
+        x_C = self.x_bar[:2]
+        means, stds = treatment_profile(self.gps, x_C)
+        rng = np.random.default_rng(14)
+        for cfg in self.cfgs:
+            f = self.f[cfg.variant.needs_weighted]
+            for x_T in rng.uniform(0.0, 1.0, (20, 2)):
+                val, _ = _value_and_direction(f, self.H, x_C, x_T, means, stds,
+                                              cfg)
+                if cfg.variant is Variant.NON_CAUSAL_F:
+                    ref = predict_proba(f, self.H, x_C, x_T)
+                else:
+                    ref = predict_proba(f, self.H, x_C, x_T,
+                                        make_aps_result(x_T, means, stds))
+                if cfg.variant is Variant.G:
+                    ref += cfg.lam * float(np.sum((x_T - means) ** 2
+                                                  / (2.0 * stds * stds)))
+                assert val == ref
+
+    def test_optimize_makes_one_pass_per_iterate(self, monkeypatch):
+        import importlib
+        nets = importlib.import_module("causalinv.nets")
+        opt_mod = importlib.import_module("causalinv.optimize")
+        passes = []
+        real_grad = opt_mod.grad_wrt_treatments
+
+        def counted(*args, **kwargs):
+            passes.append(1)
+            return real_grad(*args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a second evaluation of an iterate")
+
+        monkeypatch.setattr(opt_mod, "grad_wrt_treatments", counted)
+        monkeypatch.setattr(opt_mod, "objective_value", forbidden)
+        monkeypatch.setattr(nets, "predict_proba", forbidden)
+        for cfg in self.cfgs:
+            passes.clear()
+            res = optimize(self.x_bar, self.f[cfg.variant.needs_weighted],
+                           self.H, self.gps, self.schema, cfg)
+            assert res.iterations_used > 1
+            assert len(passes) == res.iterations_used + 1
