@@ -24,7 +24,7 @@ from .experiment import (TrainSettings, _derive_seed, fit_side_models,
                          run_experiment, write_report, write_sweep_csv)
 from .gp import gp_from_dict, gp_to_dict
 from .nets import classifier_from_dict, classifier_to_dict, indirect_from_dict, indirect_to_dict
-from .optimize import OptimizationConfig, Variant, optimize
+from .optimize import OptimizationConfig, OptimizationError, Variant, optimize
 
 MANIFEST_FORMAT = "causalinv-manifest-1"
 
@@ -114,6 +114,9 @@ def cmd_train(args) -> int:
                      "lr": settings.lr, "batch": settings.batch,
                      "gp_restarts": settings.gp_restarts,
                      "arch_grid": [list(a) for a in settings.arch_grid]},
+        "gps": {name: {"log_marginal": gp.log_marginal, "jitter": gp.jitter,
+                       "at_bound": list(gp.at_bound)}
+                for name, gp in zip(ds.schema.treatment_names(), side.gps)},
     }
     _dump_json(manifest, os.path.join(args.out, "manifest.json"))
     print(f"trained models written to {models_dir}")
@@ -167,7 +170,12 @@ def cmd_optimize(args) -> int:
     t_idx = list(ds.schema.treatment_idx)
     names = ds.schema.treatment_names()
     served = val_half.take(rows)
-    results = [optimize(x_bar, f, H, gps, ds.schema, cfg) for x_bar in served.X]
+    results = []
+    for i, x_bar in zip(rows, served.X):
+        try:
+            results.append(optimize(x_bar, f, H, gps, ds.schema, cfg))
+        except OptimizationError as exc:
+            raise OptimizationError(f"--instances position {i}: {exc}") from exc
     X_star = served.X.copy()
     X_star[:, t_idx] = [res.x_T_star for res in results]
     raw_before = denormalize(served)[:, t_idx]

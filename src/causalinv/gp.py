@@ -17,6 +17,8 @@ import numpy as np
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 STD_FLOOR = 1e-6
 JITTERS = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
+TRIL_INV_LEAF = 32
+HYPER_NAMES = ("lengthscale", "signal_variance", "noise_variance")
 
 SERIAL_FORMAT = "causalinv-gp-1"
 
@@ -43,16 +45,22 @@ class KernelConfig:
 
 @dataclass(frozen=True)
 class TreatmentGP:
-    """One fitted assignment GP: hyperparameters plus cached training solve."""
+    """One fitted assignment GP: hyperparameters plus cached training solve.
+
+    ``chol_inv`` is the inverse of the Cholesky factor of the noisy kernel
+    matrix; ``at_bound`` names the hyperparameters that ended the marginal
+    likelihood search on one of its bounds (empty when none was searched).
+    """
 
     kernel: KernelConfig
     train_controls: np.ndarray
     train_targets: np.ndarray
     mean_const: float
     alpha: np.ndarray
-    chol: np.ndarray
+    chol_inv: np.ndarray
     jitter: float
     log_marginal: float
+    at_bound: tuple
 
 
 @dataclass(frozen=True)
@@ -84,39 +92,62 @@ def _chol_with_jitter(K):
         "Cholesky factorization failed even with jitter 1e-4")
 
 
-def _cho_solve(L, B):
-    z = np.linalg.solve(L, B)
-    return np.linalg.solve(L.T, z)
+def _tril_inv(L):
+    """Inverse of a lower-triangular matrix by 2x2 block recursion.
+
+    With L = [[A, 0], [C, D]], L^-1 = [[A^-1, 0], [-D^-1 C A^-1, D^-1]]: all
+    the work above the leaves is matrix products. The upper triangle of the
+    result is exactly zero.
+    """
+    n = L.shape[0]
+    if n <= TRIL_INV_LEAF:
+        return np.tril(np.linalg.inv(L))
+    h = n // 2
+    A_inv = _tril_inv(L[:h, :h])
+    D_inv = _tril_inv(L[h:, h:])
+    out = np.zeros_like(L)
+    out[:h, :h] = A_inv
+    out[h:, h:] = D_inv
+    out[h:, :h] = -D_inv @ (L[h:, :h] @ A_inv)
+    return out
 
 
 def _factorize(controls, resid, ls, sv, nv, sqd=None):
-    """Kernel matrix, Cholesky, alpha and log marginal likelihood."""
+    """Kernel matrix, inverse Cholesky factor, alpha and log marginal likelihood.
+
+    GPML Algorithm 2.1 (Rasmussen & Williams 2006) with the triangular solves
+    done by the explicit inverse of the factor. The noise variance, floored at
+    5% of the target variance during the search, bounds the condition number
+    of the noisy kernel matrix, which keeps the explicit inverse accurate.
+    """
     m = controls.shape[0]
     if sqd is None:
         sqd = _sqdist(controls, controls)
     K = sv * np.exp(-0.5 * sqd / (ls * ls))
     L, jit = _chol_with_jitter(K + nv * np.eye(m))
-    alpha = _cho_solve(L, resid)
+    L_inv = _tril_inv(L)
+    alpha = L_inv.T @ (L_inv @ resid)
     lml = (-0.5 * float(resid @ alpha)
            - float(np.sum(np.log(np.diag(L))))
            - 0.5 * m * np.log(2.0 * np.pi))
-    return K, L, alpha, lml, jit
+    return K, L_inv, alpha, lml, jit
 
 
 def _lml_and_grad(controls, resid, log_theta, sqd):
     """Log marginal likelihood and its gradient in (log ls, log sv, log nv)."""
     ls, sv, nv = np.exp(log_theta)
-    m = controls.shape[0]
     try:
-        K, L, alpha, lml, _ = _factorize(controls, resid, ls, sv, nv, sqd)
+        K, L_inv, alpha, lml, _ = _factorize(controls, resid, ls, sv, nv, sqd)
     except np.linalg.LinAlgError:
         return -np.inf, np.zeros(3)
-    Kinv = _cho_solve(L, np.eye(m))
-    A = np.outer(alpha, alpha) - Kinv
-    # d lml / d theta_j = 0.5 tr(A dK/dtheta_j), in log-parameter coordinates
-    g_ls = 0.5 * float(np.sum(A * (K * (sqd / (ls * ls)))))
-    g_sv = 0.5 * float(np.sum(A * K))
-    g_nv = 0.5 * nv * float(np.trace(A))
+    K_inv = L_inv.T @ L_inv
+    # d lml / d theta_j = 0.5 tr((alpha alpha^T - K^-1) dK/dtheta_j)
+    #                   = 0.5 (alpha^T dK_j alpha - sum(K^-1 * dK_j)),
+    # in log-parameter coordinates (GPML Eq. 5.9)
+    KS = K * (sqd / (ls * ls))
+    g_ls = 0.5 * (float(alpha @ KS @ alpha) - float(np.sum(K_inv * KS)))
+    g_sv = 0.5 * (float(alpha @ K @ alpha) - float(np.sum(K_inv * K)))
+    g_nv = 0.5 * nv * (float(alpha @ alpha) - float(np.trace(K_inv)))
     return lml, np.array([g_ls, g_sv, g_nv])
 
 
@@ -152,6 +183,7 @@ def _optimize_hypers(controls, resid, start, seed, restarts=5, iters=60,
     ``restarts`` seeded draws) gets a short pilot ascent; the best pilot
     continues for the full iteration budget. The best iterate ever visited
     wins, so the result is never worse than the starting hyperparameters.
+    Returns the hyperparameters and the names of those that ended on a bound.
 
     Search bounds are data-driven. In particular the noise variance is floored
     at 5% of the target variance and the lengthscale at 15% of the median
@@ -187,7 +219,9 @@ def _optimize_hypers(controls, resid, start, seed, restarts=5, iters=60,
     lml, theta = _ascend(controls, resid, best_theta, sqd, iters, lr, bounds)
     if lml > best_lml:
         best_lml, best_theta = lml, theta
-    return np.exp(best_theta), best_lml
+    on_bound = (best_theta <= bounds[:, 0]) | (best_theta >= bounds[:, 1])
+    return np.exp(best_theta), tuple(
+        name for name, hit in zip(HYPER_NAMES, on_bound) if hit)
 
 
 def fit_gp(controls, treatment_values, config: KernelConfig,
@@ -216,16 +250,17 @@ def fit_gp(controls, treatment_values, config: KernelConfig,
     resid = t - mean_const
 
     ls, sv, nv = config.lengthscale, config.signal_variance, config.noise_variance
+    at_bound = ()
     if optimize_hypers:
-        (ls, sv, nv), _ = _optimize_hypers(
+        (ls, sv, nv), at_bound = _optimize_hypers(
             controls, resid, (ls, sv, max(nv, 1e-9)), seed=seed, restarts=restarts)
         config = KernelConfig(lengthscale=float(ls), signal_variance=float(sv),
                               noise_variance=float(nv), mean_mode=config.mean_mode)
 
-    _, L, alpha, lml, jit = _factorize(controls, resid, ls, sv, nv)
+    _, L_inv, alpha, lml, jit = _factorize(controls, resid, ls, sv, nv)
     return TreatmentGP(kernel=config, train_controls=controls, train_targets=t,
-                       mean_const=mean_const, alpha=alpha, chol=L,
-                       jitter=jit, log_marginal=lml)
+                       mean_const=mean_const, alpha=alpha, chol_inv=L_inv,
+                       jitter=jit, log_marginal=lml, at_bound=at_bound)
 
 
 def predict_batch(gp: TreatmentGP, X_C) -> tuple:
@@ -240,7 +275,7 @@ def predict_batch(gp: TreatmentGP, X_C) -> tuple:
     sqd = _sqdist(X_C, gp.train_controls)
     ks = sv * np.exp(-0.5 * sqd / (ls * ls))
     means = gp.mean_const + ks @ gp.alpha
-    v = np.linalg.solve(gp.chol, ks.T)
+    v = gp.chol_inv @ ks.T
     var = sv + gp.kernel.noise_variance - np.sum(v * v, axis=0)
     stds = np.sqrt(np.maximum(var, STD_FLOOR * STD_FLOOR))
     return means, np.maximum(stds, STD_FLOOR)
@@ -318,7 +353,7 @@ def gp_from_dict(doc: dict) -> TreatmentGP:
                           signal_variance=doc["signal_variance"],
                           noise_variance=doc["noise_variance"],
                           mean_mode=doc["mean_mode"])
-    # alpha and the Cholesky factor are recomputed, not stored
+    # alpha and the inverse Cholesky factor are recomputed, not stored
     return fit_gp(np.asarray(doc["train_controls"], dtype=np.float64),
                   np.asarray(doc["train_targets"], dtype=np.float64),
                   config, optimize_hypers=False)

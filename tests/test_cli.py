@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from causalinv import synth
-from causalinv.cli import main
+from causalinv.cli import _safe_name, main
 from causalinv.data import Dataset, denormalize, load_dataset, normalize, split_half
+from causalinv.gp import gp_from_dict
+from causalinv.optimize import OptimizationError
 
 FAST = ["--folds", "2", "--epochs", "20", "--arch", "4", "--gp-restarts", "1"]
 
@@ -43,6 +45,18 @@ class TestTrain:
         for name in ["manifest.json", "models/classifier_weighted.json",
                      "models/classifier_plain.json", "models/indirect.json"]:
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_manifest_reports_gp_diagnostics(self, trained):
+        manifest = json.loads((trained / "manifest.json").read_text())
+        assert sorted(manifest["gps"]) == sorted(manifest["treatments"])
+        for name, diag in manifest["gps"].items():
+            path = trained / "models" / f"gp_{_safe_name(name)}.json"
+            gp = gp_from_dict(json.loads(path.read_text()))
+            assert abs(diag["log_marginal"] - gp.log_marginal) <= (
+                1e-9 * abs(gp.log_marginal))
+            assert diag["jitter"] == gp.jitter
+            assert set(diag["at_bound"]) <= {"lengthscale", "signal_variance",
+                                             "noise_variance"}
 
     def test_missing_schema_exit_2(self, corpus, tmp_path, capsys):
         csv_path, _ = corpus
@@ -121,6 +135,29 @@ class TestOptimize:
         assert code == 2
         assert f"--instances position {position} outside" in capsys.readouterr().err
         assert not (tmp_path / "bad" / "policies.json").exists()
+
+    def test_failing_row_named(self, corpus, trained, tmp_path, capsys,
+                               monkeypatch):
+        import causalinv.cli as cli
+        real, calls = cli.optimize, []
+
+        def fail_second(x_bar, f, H, gps, schema, cfg):
+            calls.append(x_bar)
+            if len(calls) == 2:
+                raise OptimizationError("non-finite gradient at iteration 4")
+            return real(x_bar, f, H, gps, schema, cfg)
+
+        monkeypatch.setattr(cli, "optimize", fail_second)
+        csv_path, schema_path = corpus
+        code = main(["optimize", "--data", csv_path, "--schema", schema_path,
+                     "--out", str(tmp_path / "fail"), "--artifacts", str(trained),
+                     "--budget", "1", "--max-iters", "30",
+                     "--instances", "0,3,5"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert ("--instances position 3: non-finite gradient at iteration 4"
+                in err)
+        assert not (tmp_path / "fail" / "policies.json").exists()
 
     def test_missing_artifacts_exit_2(self, corpus, tmp_path, capsys):
         csv_path, schema_path = corpus

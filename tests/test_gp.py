@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from causalinv.gp import (KernelConfig, aps, aps_gradient, fit_gp,
-                          gp_from_dict, gp_to_dict, make_aps_result,
-                          predict_batch, treatment_profile, weight_treatments)
+from causalinv.gp import (KernelConfig, _lml_and_grad, _sqdist, _tril_inv,
+                          aps, aps_gradient, fit_gp, gp_from_dict, gp_to_dict,
+                          make_aps_result, predict_batch, treatment_profile,
+                          weight_treatments)
 from tests.oracles import central_diff, dense_gp_predict, dense_log_marginal
 
 
@@ -92,7 +93,7 @@ class TestFit:
     def test_duplicate_rows_survive_via_jitter(self):
         cfg = KernelConfig(1.0, 1.0, 1e-6)
         gp = fit_gp(np.ones((2, 2)), [1.0, 1.0], cfg, optimize_hypers=False)
-        assert np.all(np.diag(gp.chol) > 0)
+        assert np.all(np.diag(gp.chol_inv) > 0)
 
     def test_noise_free_interpolation(self):
         gp, X, t = _toy_gp(noise=1e-10)
@@ -164,6 +165,85 @@ class TestFit:
         gp, X, _ = _toy_gp(noise=0.0)
         _, (std,) = predict_batch(gp, X[0][None])
         assert std >= 1e-6
+
+    def test_noise_free_targets_report_noise_bound(self):
+        rng = np.random.default_rng(12)
+        X = rng.random((40, 2))
+        t = np.sin(3 * X[:, 0]) + 0.5 * X[:, 1]
+        gp = fit_gp(X, t, KernelConfig(1.0, 1.0, 0.1), optimize_hypers=True)
+        # the search floors the noise at 5% of the target variance
+        assert "noise_variance" in gp.at_bound
+        assert abs(gp.kernel.noise_variance / (0.05 * np.var(t)) - 1) < 1e-12
+        assert fit_gp(X, t, gp.kernel, optimize_hypers=False).at_bound == ()
+
+
+def _bound_corner(X, t):
+    """Hyperparameters at the worst conditioning the search bounds allow:
+    lengthscale 50x the median distance, signal variance 30x and noise 5%
+    of the target variance."""
+    d = np.sqrt(((X[:, None, :] - X[None, :, :]) ** 2).sum(-1))
+    med = np.median(d[d > 0])
+    var_t = np.var(t)
+    return 50.0 * med, 30.0 * var_t, 0.05 * var_t
+
+
+class TestLogMarginalGradient:
+    @pytest.fixture(scope="class")
+    def data(self):
+        # 80 rows: the triangular inverse recurses two levels below the root
+        rng = np.random.default_rng(13)
+        X = rng.random((80, 3))
+        t = np.sin(3 * X[:, 0]) + 0.5 * X[:, 1] + rng.normal(0, 0.1, 80)
+        return X, t, float(np.mean(t))
+
+    @pytest.mark.parametrize("theta", ["interior", "short", "corner"])
+    def test_value_and_gradient_match_dense_oracle(self, data, theta):
+        X, t, c = data
+        ls, sv, nv = {"interior": (0.6, 0.4, 0.02),
+                      "short": (0.12, 1.5, 0.3),
+                      "corner": _bound_corner(X, t)}[theta]
+        log_theta = np.log([ls, sv, nv])
+        lml, grad = _lml_and_grad(X, t - c, log_theta, _sqdist(X, X))
+
+        def oracle(lt):
+            return dense_log_marginal(X, t, c, *np.exp(lt))
+
+        assert abs(lml - oracle(log_theta)) < 1e-9 * max(1.0, abs(lml))
+        # h = 1e-4 balances truncation against the oracle's rounding, which
+        # is largest at the ill-conditioned corner
+        fd = central_diff(oracle, log_theta, h=1e-4)
+        np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-6)
+
+
+class TestTriangularInverse:
+    @pytest.mark.parametrize("m", [1, 2, 31, 32, 33, 65, 325])
+    def test_exact_lower_triangle_and_identity(self, m):
+        rng = np.random.default_rng(m)
+        X = rng.random((m, 4))
+        t = rng.normal(size=m)
+        ls, sv, nv = _bound_corner(X, t) if m > 1 else (1.0, 1.0, 0.05)
+        K = sv * np.exp(-0.5 * _sqdist(X, X) / ls ** 2) + nv * np.eye(m)
+        L = np.linalg.cholesky(K)
+        # D L is the factor of D K D; its rows grow down the matrix, so the
+        # leaves' LU pivots and can leave roundoff above the diagonal
+        D = np.linspace(1.0, 100.0, m)[:, None]
+        for factor in (L, D * L):
+            inv = _tril_inv(factor)
+            assert np.all(np.triu(inv, 1) == 0.0)
+            assert np.abs(factor @ inv - np.eye(m)).max() < 1e-10
+
+    def test_worst_conditioning_predicts_like_dense_solve(self):
+        rng = np.random.default_rng(14)
+        X = rng.random((325, 4))
+        t = np.sin(3 * X[:, 0]) + rng.normal(0, 0.2, 325)
+        ls, sv, nv = _bound_corner(X, t)
+        gp = fit_gp(X, t, KernelConfig(ls, sv, nv), optimize_hypers=False)
+        Q = rng.random((20, 4))
+        means, stds = predict_batch(gp, Q)
+        for q, mean, std in zip(Q, means, stds):
+            mean_o, std_o = dense_gp_predict(gp, q)
+            assert abs(mean - mean_o) < 1e-9
+            assert abs(std - std_o) < 1e-9
 
 
 class TestSerialization:
