@@ -13,8 +13,7 @@ the policies with an independently trained validation model.
 from .data import (DataError, Dataset, FeatureSchema, SchemaError, denormalize,
                    load_dataset, normalize, split_half)
 from .gp import (ApsResult, KernelConfig, TreatmentGP, aps, aps_gradient,
-                 fit_gp, make_aps_result, predict_batch, treatment_profile,
-                 weight_treatments)
+                 fit_gp, make_aps_result, predict_batch, treatment_profile)
 from .nets import (IndirectEstimator, MlpClassifier, grad_wrt_treatments,
                    predict_proba, train_classifier, train_indirect)
 from .optimize import (OptimizationConfig, OptimizationError, PolicyResult,
@@ -35,5 +34,5 @@ __all__ = [
     "normalize", "objective_value", "optimize", "predict_batch",
     "predict_proba", "project", "run_experiment", "split_half",
     "train_classifier", "train_indirect", "treatment_profile",
-    "weight_treatments", "write_report", "write_sweep_csv",
+    "write_report", "write_sweep_csv",
 ]

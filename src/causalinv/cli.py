@@ -6,8 +6,9 @@ component, so every command is byte-for-byte reproducible given identical
 inputs and the same BLAS thread count. ``train`` fits the optimization-side
 models on the first half of the seeded split and serializes them;
 ``optimize`` loads them and emits policy records for validation-half
-instances; ``evaluate`` runs the full two-model protocol and writes the sweep
-report.
+instances, splitting with the seed recorded in the artifacts' manifest (it
+takes no ``--seed``); ``evaluate`` runs the full two-model protocol and
+writes the sweep report.
 """
 
 from __future__ import annotations
@@ -16,12 +17,13 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from .data import (DataError, SchemaError, denormalize, load_dataset,
                    normalize, split_half)
-from .experiment import (TrainSettings, _derive_seed, fit_side_models,
-                         run_experiment, write_report, write_sweep_csv)
+from .experiment import (SideModels, TrainSettings, _derive_seed,
+                         fit_side_models, run_experiment, write_report,
+                         write_sweep_csv)
 from .gp import gp_from_dict, gp_to_dict
 from .nets import classifier_from_dict, classifier_to_dict, indirect_from_dict, indirect_to_dict
 from .optimize import OptimizationConfig, OptimizationError, Variant, optimize
@@ -39,25 +41,28 @@ def _split_list(values, cast):
     return out
 
 
+def _one_value(values, cast, flag, default=None):
+    """The single value of an ``optimize`` flag, or ``default`` when absent."""
+    vals = _split_list(values, cast) or ([] if default is None else [default])
+    if len(vals) != 1:
+        raise ValueError(f"optimize expects exactly one {flag}, got {len(vals)}")
+    return vals[0]
+
+
 def _seed_from(args):
     if args.seed is not None:
         return args.seed
     env = os.environ.get("PROPHIT_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise ValueError(f"PROPHIT_SEED must be an integer, got {env!r}") from None
 
 
 def _settings_from(args):
-    kwargs = {}
-    if args.folds is not None:
-        kwargs["folds"] = args.folds
-    if args.epochs is not None:
-        kwargs["epochs"] = args.epochs
-    if args.lr is not None:
-        kwargs["lr"] = args.lr
-    if args.batch is not None:
-        kwargs["batch"] = args.batch
-    if args.gp_restarts is not None:
-        kwargs["gp_restarts"] = args.gp_restarts
+    kwargs = {name: getattr(args, name)
+              for name in ("folds", "epochs", "lr", "batch", "gp_restarts")
+              if getattr(args, name) is not None}
     archs = _split_list(args.arch, str)
     if archs:
         kwargs["arch_grid"] = tuple(
@@ -103,17 +108,11 @@ def cmd_train(args) -> int:
         "n": ds.n, "n_opt": opt_half.n, "n_val": val_half.n,
         "treatments": list(ds.schema.treatment_names()),
         "classifiers": {
-            "weighted": {"arch": side.f_weighted.training_meta["arch"],
-                         "cv_loss": side.f_weighted.training_meta["cv_loss"],
-                         "cv_losses": side.f_weighted.training_meta["cv_losses"]},
-            "plain": {"arch": side.f_plain.training_meta["arch"],
-                      "cv_loss": side.f_plain.training_meta["cv_loss"],
-                      "cv_losses": side.f_plain.training_meta["cv_losses"]},
-        },
-        "settings": {"folds": settings.folds, "epochs": settings.epochs,
-                     "lr": settings.lr, "batch": settings.batch,
-                     "gp_restarts": settings.gp_restarts,
-                     "arch_grid": [list(a) for a in settings.arch_grid]},
+            kind: {key: f.training_meta[key]
+                   for key in ("arch", "cv_loss", "cv_losses")}
+            for kind, f in (("weighted", side.f_weighted),
+                            ("plain", side.f_plain))},
+        "settings": asdict(settings),
         "gps": {name: {"log_marginal": gp.log_marginal, "jitter": gp.jitter,
                        "at_bound": list(gp.at_bound)}
                 for name, gp in zip(ds.schema.treatment_names(), side.gps)},
@@ -133,19 +132,18 @@ def _load_artifacts(art_dir, treatments):
             raise FileNotFoundError(f"artifacts not found: {path}")
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    f_w = classifier_from_dict(_read("classifier_weighted.json"))
-    f_p = classifier_from_dict(_read("classifier_plain.json"))
-    H = indirect_from_dict(_read("indirect.json"))
-    gps = tuple(gp_from_dict(_read(f"gp_{_safe_name(t)}.json")) for t in treatments)
-    return f_w, f_p, H, gps
+    return SideModels(
+        f_weighted=classifier_from_dict(_read("classifier_weighted.json")),
+        f_plain=classifier_from_dict(_read("classifier_plain.json")),
+        H=indirect_from_dict(_read("indirect.json")),
+        gps=tuple(gp_from_dict(_read(f"gp_{_safe_name(t)}.json"))
+                  for t in treatments))
 
 
 def cmd_optimize(args) -> int:
-    budgets = _split_list(args.budget, float)
-    if len(budgets) != 1:
-        raise ValueError("optimize expects exactly one --budget")
-    lams = _split_list(args.lam, float) or [0.0]
-    variant = Variant(_split_list(args.variant, str)[0]) if args.variant else Variant.G
+    budget = _one_value(args.budget, float, "--budget")
+    lam = _one_value(args.lam, float, "--lambda", default=0.0)
+    variant = Variant(_one_value(args.variant, str, "--variant", default="g"))
 
     ds = _load_normalized(args)
     art_dir = args.artifacts or args.out
@@ -154,26 +152,28 @@ def cmd_optimize(args) -> int:
         raise FileNotFoundError(f"artifacts not found: {manifest_path}")
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    seed = args.seed if args.seed is not None else manifest["seed"]
-    _, val_half = split_half(ds, seed)
-    f_w, f_p, H, gps = _load_artifacts(art_dir, manifest["treatments"])
-    f = f_p if variant is Variant.NON_CAUSAL_F else f_w
+    names = ds.schema.treatment_names()
+    if manifest["treatments"] != list(names):
+        raise ValueError(f"the artifacts were trained on treatments "
+                         f"{manifest['treatments']}, but the data has "
+                         f"treatments {list(names)}")
+    _, val_half = split_half(ds, manifest["seed"])
+    side = _load_artifacts(art_dir, names)
+    f = side.classifier(variant)
 
     rows = _split_list(args.instances, int) or list(range(val_half.n))
     for i in rows:
         if not 0 <= i < val_half.n:
             raise ValueError(f"--instances position {i} outside the "
                              f"validation half [0, {val_half.n})")
-    cfg = OptimizationConfig(budget=budgets[0], step=args.step,
-                             max_iters=args.max_iters, lam=lams[0],
-                             variant=variant)
+    cfg = OptimizationConfig(budget=budget, step=args.step,
+                             max_iters=args.max_iters, lam=lam, variant=variant)
     t_idx = list(ds.schema.treatment_idx)
-    names = ds.schema.treatment_names()
     served = val_half.take(rows)
     results = []
     for i, x_bar in zip(rows, served.X):
         try:
-            results.append(optimize(x_bar, f, H, gps, ds.schema, cfg))
+            results.append(optimize(x_bar, f, side.H, side.gps, ds.schema, cfg))
         except OptimizationError as exc:
             raise OptimizationError(f"--instances position {i}: {exc}") from exc
     X_star = served.X.copy()
@@ -212,6 +212,8 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     budgets = _split_list(args.budget, float)
     if not budgets:
         raise ValueError("empty sweep: at least one --budget is required")
@@ -239,9 +241,9 @@ def _add_common(p, training=True):
     p.add_argument("--data", required=True, help="CSV data file")
     p.add_argument("--schema", required=True, help="schema JSON file")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=None,
-                   help="master seed (default: $PROPHIT_SEED or 0)")
     if training:
+        p.add_argument("--seed", type=int, default=None,
+                       help="master seed (default: $PROPHIT_SEED or 0)")
         p.add_argument("--folds", type=int, default=None)
         p.add_argument("--epochs", type=int, default=None)
         p.add_argument("--lr", type=float, default=None)
@@ -298,10 +300,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (SchemaError, DataError, ValueError) as exc:
+    except (FileNotFoundError, SchemaError, DataError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # unexpected failure: nonzero, with diagnostics

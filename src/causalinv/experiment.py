@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -50,6 +52,10 @@ class SideModels:
     f_plain: object
     H: object
     gps: tuple
+
+    def classifier(self, variant):
+        """The classifier ``variant`` optimizes or is scored with."""
+        return self.f_weighted if variant.needs_weighted else self.f_plain
 
 
 @dataclass(frozen=True)
@@ -94,19 +100,13 @@ def fit_side_models(half: Dataset, seed: int,
         fit_gp(Xc, Xt[:, j], DEFAULT_KERNEL, optimize_hypers=True,
                seed=_derive_seed(seed, 11, j), restarts=settings.gp_restarts)
         for j in range(half.schema.n_treatments))
-    H = train_indirect(half, seed=_derive_seed(seed, 13),
-                       epochs=settings.epochs, lr=settings.lr,
-                       batch=settings.batch)
-    f_w = train_classifier(half, weighted=True, gps=gps, folds=settings.folds,
-                           arch_grid=settings.arch_grid,
-                           seed=_derive_seed(seed, 17),
-                           epochs=settings.epochs, lr=settings.lr,
-                           batch=settings.batch)
-    f_p = train_classifier(half, weighted=False, folds=settings.folds,
-                           arch_grid=settings.arch_grid,
-                           seed=_derive_seed(seed, 19),
-                           epochs=settings.epochs, lr=settings.lr,
-                           batch=settings.batch)
+    sgd = dict(epochs=settings.epochs, lr=settings.lr, batch=settings.batch)
+    H = train_indirect(half, seed=_derive_seed(seed, 13), **sgd)
+    f_w, f_p = (train_classifier(half, weighted=weighted, gps=gps,
+                                 folds=settings.folds,
+                                 arch_grid=settings.arch_grid,
+                                 seed=_derive_seed(seed, part), **sgd)
+                for weighted, part in ((True, 17), (False, 19)))
     return SideModels(f_weighted=f_w, f_plain=f_p, H=H, gps=gps)
 
 
@@ -117,16 +117,13 @@ def ifee(f_val, H_val, gps_val, schema, x_bar, x_star, weighted: bool,
     x_star = np.asarray(x_star, dtype=np.float64)
     x_C = x_bar[list(schema.control_idx)]
     x_bar_T = x_bar[list(schema.treatment_idx)]
+    aps_bar = aps_star = None
     if weighted:
         means, stds = treatment_profile(gps_val, x_C) if profile is None else profile
-        before = predict_proba(f_val, H_val, x_C, x_bar_T,
-                               make_aps_result(x_bar_T, means, stds))
-        after = predict_proba(f_val, H_val, x_C, x_star,
-                              make_aps_result(x_star, means, stds))
-    else:
-        before = predict_proba(f_val, H_val, x_C, x_bar_T, None)
-        after = predict_proba(f_val, H_val, x_C, x_star, None)
-    return before - after
+        aps_bar = make_aps_result(x_bar_T, means, stds)
+        aps_star = make_aps_result(x_star, means, stds)
+    return (predict_proba(f_val, H_val, x_C, x_bar_T, aps_bar)
+            - predict_proba(f_val, H_val, x_C, x_star, aps_star))
 
 
 def _filter_3sigma(values) -> tuple:
@@ -158,46 +155,39 @@ def _cell_grid(variants, budgets, lambdas):
     return cells
 
 
-def _optimize_block(ctx, rows):
-    """Optimize a block of validation rows over every sweep cell."""
-    (val, opt_models, val_models, cells, step, max_iters, tol, threshold) = ctx
+def _score_row(val, opt_models, val_models, cells, step, max_iters, threshold,
+               i):
+    """Optimize validation row ``i`` for every sweep cell and score it: per
+    cell ``(ifee, instance APS, adjusted mask)``, or None if the search failed."""
     schema = val.schema
-    c_idx = list(schema.control_idx)
-    t_idx = list(schema.treatment_idx)
-    out = []
-    for i in rows:
-        x_bar = val.X[i]
-        x_C = x_bar[c_idx]
-        x_bar_T = x_bar[t_idx]
-        opt_profile = treatment_profile(opt_models.gps, x_C)
-        val_profile = treatment_profile(val_models.gps, x_C)
-        per_cell = []
-        for (variant, budget, lam) in cells:
-            cfg = OptimizationConfig(budget=budget, step=step,
-                                     max_iters=max_iters, tol=tol, lam=lam,
-                                     variant=variant)
-            f_opt = opt_models.f_plain if variant is Variant.NON_CAUSAL_F else opt_models.f_weighted
-            f_val = val_models.f_plain if variant is Variant.NON_CAUSAL_F else val_models.f_weighted
-            try:
-                policy = optimize(x_bar, f_opt, opt_models.H, opt_models.gps,
-                                  schema, cfg, profile=opt_profile)
-            except OptimizationError:
-                per_cell.append(None)
-                continue
-            eff = ifee(f_val, val_models.H, val_models.gps, schema, x_bar,
-                       policy.x_T_star, weighted=variant.needs_weighted,
-                       profile=val_profile)
-            inst_aps = _policy_aps(policy.aps_star.density, policy.x_T_star,
-                                   x_bar_T, threshold)
-            adjusted = np.abs(policy.x_T_star - x_bar_T) > threshold
-            per_cell.append((eff, inst_aps, adjusted))
-        out.append(per_cell)
-    return out
+    x_bar = val.X[i]
+    x_C = x_bar[list(schema.control_idx)]
+    x_bar_T = x_bar[list(schema.treatment_idx)]
+    opt_profile = treatment_profile(opt_models.gps, x_C)
+    val_profile = treatment_profile(val_models.gps, x_C)
+    per_cell = []
+    for (variant, budget, lam) in cells:
+        cfg = OptimizationConfig(budget=budget, step=step, max_iters=max_iters,
+                                 lam=lam, variant=variant)
+        try:
+            policy = optimize(x_bar, opt_models.classifier(variant), opt_models.H,
+                              opt_models.gps, schema, cfg, profile=opt_profile)
+        except OptimizationError:
+            per_cell.append(None)
+            continue
+        eff = ifee(val_models.classifier(variant), val_models.H, val_models.gps,
+                   schema, x_bar, policy.x_T_star,
+                   weighted=variant.needs_weighted, profile=val_profile)
+        inst_aps = _policy_aps(policy.aps_star.density, policy.x_T_star,
+                               x_bar_T, threshold)
+        adjusted = np.abs(policy.x_T_star - x_bar_T) > threshold
+        per_cell.append((eff, inst_aps, adjusted))
+    return per_cell
 
 
 def run_experiment(ds: Dataset, budgets, lambdas, variants, seed: int,
                    settings: TrainSettings = TrainSettings(),
-                   step: float = 0.05, max_iters: int = 300, tol: float = 1e-7,
+                   step: float = 0.05, max_iters: int = 300,
                    threshold: float = ADJUST_THRESHOLD,
                    jobs: int = 1) -> ExperimentReport:
     """Full protocol: half split, two model sides, per-instance optimization.
@@ -223,20 +213,16 @@ def run_experiment(ds: Dataset, budgets, lambdas, variants, seed: int,
     val_models = fit_side_models(val_half, _derive_seed(seed, 2), settings)
 
     cells = _cell_grid(variants, budgets, lambdas)
-    ctx = (val_half, opt_models, val_models, cells, step, max_iters, tol,
-           threshold)
-    rows = list(range(val_half.n))
+    score = partial(_score_row, val_half, opt_models, val_models, cells, step,
+                    max_iters, threshold)
+    rows = range(val_half.n)
     if jobs > 1:
-        blocks = [rows[k::jobs] for k in range(jobs)]
-        blocks = [b for b in blocks if b]
-        with ProcessPoolExecutor(max_workers=len(blocks)) as ex:
-            results = list(ex.map(_optimize_block, [ctx] * len(blocks), blocks))
-        per_row = [None] * len(rows)
-        for block, res in zip(blocks, results):
-            for i, r in zip(block, res):
-                per_row[i] = r
+        # one chunk per worker, so each worker unpickles the models once
+        with ProcessPoolExecutor(max_workers=min(jobs, len(rows))) as ex:
+            per_row = list(ex.map(score, rows,
+                                  chunksize=math.ceil(len(rows) / jobs)))
     else:
-        per_row = _optimize_block(ctx, rows)
+        per_row = list(map(score, rows))
 
     n_t = ds.schema.n_treatments
     cell_stats = []
@@ -273,33 +259,17 @@ def run_experiment(ds: Dataset, budgets, lambdas, variants, seed: int,
         variants=tuple(v.value for v in variants),
         n_opt=opt_half.n,
         n_val=val_half.n,
-        config={"step": step, "max_iters": max_iters, "tol": tol,
-                "threshold": threshold, "folds": settings.folds,
-                "epochs": settings.epochs, "lr": settings.lr,
-                "batch": settings.batch,
-                "arch_grid": [list(a) for a in settings.arch_grid],
-                "gp_restarts": settings.gp_restarts},
+        config={"step": step, "max_iters": max_iters,
+                "tol": OptimizationConfig.tol, "threshold": threshold,
+                **asdict(settings)},
     )
 
 
 def report_to_dict(report: ExperimentReport) -> dict:
-    return {
-        "seed": report.seed,
-        "budgets": list(report.budgets),
-        "lambdas": list(report.lambdas),
-        "variants": list(report.variants),
-        "treatment_names": list(report.treatment_names),
-        "n_opt": report.n_opt,
-        "n_val": report.n_val,
-        "config": report.config,
-        "cells": [{
-            "variant": c.variant, "budget": c.budget, "lambda": c.lam,
-            "ifee_mean": c.ifee_mean, "aps_mean": c.aps_mean, "kept": c.kept,
-            "n_instances": c.n_instances, "n_failed": c.n_failed,
-            "failed_rows": list(c.failed_rows),
-            "freq_counts": list(c.freq_counts),
-        } for c in report.cells],
-    }
+    doc = asdict(report)
+    for cell in doc["cells"]:
+        cell["lambda"] = cell.pop("lam")
+    return doc
 
 
 def write_report(report: ExperimentReport, path) -> None:

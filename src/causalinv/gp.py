@@ -4,8 +4,7 @@ Each treatment gets an independent GP regression of its observed values on the
 control features (squared-exponential kernel, constant or zero mean). The
 reconstructed predictive distribution at a query point yields a Gaussian
 density of any candidate treatment value -- the approximate propensity score
--- together with its analytic derivative, and the elementwise weighting that
-multiplies treatment values by their propensity.
+-- together with its analytic derivative.
 """
 
 from __future__ import annotations
@@ -19,6 +18,11 @@ STD_FLOOR = 1e-6
 JITTERS = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
 TRIL_INV_LEAF = 32
 HYPER_NAMES = ("lengthscale", "signal_variance", "noise_variance")
+# Adam ascent of the marginal likelihood: steps for each start's pilot run,
+# steps for the best start's full run, and the step size
+PILOT_STEPS = 15
+FULL_STEPS = 60
+ASCENT_LR = 0.08
 
 SERIAL_FORMAT = "causalinv-gp-1"
 
@@ -65,10 +69,8 @@ class TreatmentGP:
 
 @dataclass(frozen=True)
 class ApsResult:
-    """Per-treatment predictive moments, propensity density and its gradient."""
+    """Per-treatment propensity density and its gradient."""
 
-    mean: np.ndarray
-    std: np.ndarray
     density: np.ndarray
     density_grad: np.ndarray
 
@@ -151,13 +153,13 @@ def _lml_and_grad(controls, resid, log_theta, sqd):
     return lml, np.array([g_ls, g_sv, g_nv])
 
 
-def _ascend(controls, resid, theta0, sqd, iters, lr, bounds):
+def _ascend(controls, resid, theta0, sqd, steps, bounds):
     """Adam ascent on the log marginal likelihood; best iterate visited wins."""
     theta = np.clip(theta0, bounds[:, 0], bounds[:, 1])
     best_lml, best_theta = -np.inf, theta.copy()
     m_t = np.zeros(3)
     v_t = np.zeros(3)
-    for it in range(1, iters + 1):
+    for it in range(1, steps + 1):
         lml, grad = _lml_and_grad(controls, resid, theta, sqd)
         if lml > best_lml:
             best_lml, best_theta = lml, theta.copy()
@@ -167,7 +169,7 @@ def _ascend(controls, resid, theta0, sqd, iters, lr, bounds):
         v_t = 0.999 * v_t + 0.001 * grad * grad
         mh = m_t / (1.0 - 0.9 ** it)
         vh = v_t / (1.0 - 0.999 ** it)
-        theta = theta + lr * mh / (np.sqrt(vh) + 1e-8)
+        theta = theta + ASCENT_LR * mh / (np.sqrt(vh) + 1e-8)
         theta = np.clip(theta, bounds[:, 0], bounds[:, 1])
     lml, _ = _lml_and_grad(controls, resid, theta, sqd)
     if lml > best_lml:
@@ -175,8 +177,7 @@ def _ascend(controls, resid, theta0, sqd, iters, lr, bounds):
     return best_lml, best_theta
 
 
-def _optimize_hypers(controls, resid, start, seed, restarts=5, iters=60,
-                     pilot_iters=15, lr=0.08):
+def _optimize_hypers(controls, resid, start, seed, restarts=5):
     """Multi-start first-order ascent of the log marginal likelihood.
 
     Every start (the given hyperparameters, a median-distance heuristic and
@@ -213,10 +214,10 @@ def _optimize_hypers(controls, resid, start, seed, restarts=5, iters=60,
 
     best_lml, best_theta = -np.inf, starts[0]
     for theta0 in starts:
-        lml, theta = _ascend(controls, resid, theta0, sqd, pilot_iters, lr, bounds)
+        lml, theta = _ascend(controls, resid, theta0, sqd, PILOT_STEPS, bounds)
         if lml > best_lml:
             best_lml, best_theta = lml, theta
-    lml, theta = _ascend(controls, resid, best_theta, sqd, iters, lr, bounds)
+    lml, theta = _ascend(controls, resid, best_theta, sqd, FULL_STEPS, bounds)
     if lml > best_lml:
         best_lml, best_theta = lml, theta
     on_bound = (best_theta <= bounds[:, 0]) | (best_theta >= bounds[:, 1])
@@ -315,22 +316,14 @@ def aps_gradient(x_T, means, stds) -> np.ndarray:
     return make_aps_result(x_T, means, stds).density_grad
 
 
-def weight_treatments(x_T, phi) -> np.ndarray:
-    """Elementwise propensity weighting of a treatment vector."""
-    x_T = np.asarray(x_T, dtype=np.float64)
-    phi = np.asarray(phi, dtype=np.float64)
-    if x_T.shape != phi.shape:
-        raise ValueError("treatment vector and APS vector lengths differ")
-    return phi * x_T
-
-
 def make_aps_result(x_T, means, stds) -> ApsResult:
-    """Bundle the predictive moments with density and gradient at ``x_T``."""
+    """Propensity density and its gradient at ``x_T`` under the predictive
+    moments ``means`` and ``stds``."""
     x_T = np.asarray(x_T, dtype=np.float64)
     means = np.asarray(means, dtype=np.float64)
     stds = np.asarray(stds, dtype=np.float64)
     density = aps(x_T, means, stds)
-    return ApsResult(mean=means, std=stds, density=density,
+    return ApsResult(density=density,
                      density_grad=-density * (x_T - means) / (stds * stds))
 
 

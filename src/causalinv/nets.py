@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gp import ApsResult, aps, treatment_profile, weight_treatments
+from .gp import ApsResult, aps, treatment_profile
 
 DEFAULT_ARCH_GRID = ((16,), (32,), (16, 16), (32, 16))
 DEFAULT_EPOCHS = 400
@@ -167,15 +167,12 @@ class IndirectEstimator:
         return np.clip(z_out[0], 0.0, 1.0), jac * inside[:, None]
 
 
-def _weighted_design(ds, gps):
-    """Training design matrix with propensity-weighted treatment columns."""
-    Xc, Xi, Xt = ds.controls(), ds.indirects(), ds.treatments()
-    means, stds = treatment_profile(gps, Xc)
-    return np.concatenate([Xc, Xi, aps(Xt, means, stds) * Xt], axis=1)
-
-
-def _plain_design(ds):
-    return np.concatenate([ds.controls(), ds.indirects(), ds.treatments()], axis=1)
+def _design(X_C, X_I, X_T, density=None):
+    """Classifier input: controls, indirect features and treatments, the
+    treatments multiplied elementwise by their propensity ``density`` when
+    one is given. Rows (1-D arguments) or matrices (one row per instance)."""
+    return np.concatenate([X_C, X_I, X_T if density is None else density * X_T],
+                          axis=-1)
 
 
 def train_classifier(ds, weighted: bool, gps=None, folds: int = 5,
@@ -188,12 +185,13 @@ def train_classifier(ds, weighted: bool, gps=None, folds: int = 5,
         raise ValueError("arch_grid must not be empty")
     if folds < 2 or folds > ds.n:
         raise ValueError(f"fold count {folds} out of range [2, {ds.n}]")
+    Xc, Xt = ds.controls(), ds.treatments()
+    density = None
     if weighted:
         if gps is None or len(gps) != ds.schema.n_treatments:
             raise ValueError("weighted training needs one fitted GP per treatment")
-        Z = _weighted_design(ds, gps)
-    else:
-        Z = _plain_design(ds)
+        density = aps(Xt, *treatment_profile(gps, Xc))
+    Z = _design(Xc, ds.indirects(), Xt, density)
     y = ds.y.astype(np.float64)
     n, p = Z.shape
 
@@ -257,8 +255,7 @@ def _assemble(f: MlpClassifier, x_C, h, x_T, aps_res):
     if f.weighted and aps_res is None:
         raise ValueError("classifier was trained on weighted treatments; "
                          "an ApsResult is required")
-    w = weight_treatments(x_T, aps_res.density) if f.weighted else x_T
-    return np.concatenate([x_C, h, w])
+    return _design(x_C, h, x_T, aps_res.density if f.weighted else None)
 
 
 def predict_proba(f: MlpClassifier, H: IndirectEstimator, x_C, x_T,
@@ -292,13 +289,9 @@ def grad_wrt_treatments(f: MlpClassifier, H: IndirectEstimator, x_C, x_T,
     g_I = g[n_c:n_c + n_i]
     g_w = g[n_c + n_i:]
     if f.weighted:
-        if include_aps_chain:
-            factor = aps_res.density + aps_res.density_grad * x_T
-        else:
-            factor = aps_res.density
-    else:
-        factor = np.ones_like(x_T)
-    return p, jac.T @ g_I + factor * g_w
+        g_w = g_w * (aps_res.density + aps_res.density_grad * x_T
+                     if include_aps_chain else aps_res.density)
+    return p, jac.T @ g_I + g_w
 
 
 def classifier_to_dict(f: MlpClassifier) -> dict:

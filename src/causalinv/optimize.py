@@ -23,6 +23,9 @@ import numpy as np
 from .gp import ApsResult, make_aps_result, treatment_profile
 from .nets import grad_wrt_treatments
 
+# consecutive iterations without a ``tol`` improvement that end a search
+PATIENCE = 5
+
 
 class Variant(str, Enum):
     """Objective / update-rule choices for the policy optimizer."""
@@ -49,7 +52,6 @@ class OptimizationConfig:
     tol: float = 1e-7
     lam: float = 0.0
     variant: Variant = Variant.G
-    patience: int = 5
 
     def __post_init__(self):
         if self.budget < 0:
@@ -60,8 +62,6 @@ class OptimizationConfig:
             raise ValueError("max_iters must be at least 1")
         if self.lam < 0:
             raise ValueError("lambda must be nonnegative")
-        if self.patience < 1:
-            raise ValueError("patience must be at least 1")
         object.__setattr__(self, "variant", Variant(self.variant))
 
 
@@ -153,7 +153,7 @@ def objective_value(x_T, x_bar, f, H, gps, schema, cfg: OptimizationConfig,
 def _value_and_direction(f, H, x_C, x_T, means, stds, cfg):
     """Objective value and descent direction of ``cfg.variant`` at ``x_T``,
     from one pass of the classifier and the indirect estimator."""
-    variant = Variant(cfg.variant)
+    variant = cfg.variant
     if variant is Variant.NON_CAUSAL_F:
         return grad_wrt_treatments(f, H, x_C, x_T, None, include_aps_chain=False)
     aps_res = make_aps_result(x_T, means, stds)
@@ -173,11 +173,11 @@ def optimize(x_bar, f, H, gps, schema, cfg: OptimizationConfig,
     computed once (or passed in as ``profile``); the propensity density and
     its derivative are refreshed at every iterate, and one pass of the
     networks gives both the iterate's objective value and the direction of
-    the next step. Stops at ``max_iters`` or
-    once the best objective has not improved by ``tol`` for ``patience``
-    consecutive iterations, and returns the best-objective iterate visited.
+    the next step. Stops at ``max_iters`` or once the best objective has not
+    improved by ``tol`` for :data:`PATIENCE` consecutive iterations, and
+    returns the best-objective iterate visited.
     """
-    variant = Variant(cfg.variant)
+    variant = cfg.variant
     if variant.needs_weighted != f.weighted:
         kind = "weighted" if variant.needs_weighted else "unweighted"
         raise ValueError(f"variant {variant.value!r} requires a {kind} classifier")
@@ -189,35 +189,29 @@ def optimize(x_bar, f, H, gps, schema, cfg: OptimizationConfig,
     c_up, c_down = schema.cost_up, schema.cost_down
     l, u = schema.lower, schema.upper
 
-    x_T = x_bar_T.copy()
+    # project() returns a new array, so the iterates are never aliased
+    x_T = x_bar_T
     val, d = _value_and_direction(f, H, x_C, x_T, means, stds, cfg)
-    trace = [val]
-    iterates = [x_T.copy()]
-    best_obj, best_x = val, x_T.copy()
-    stall = 0
-    iterations = 0
+    trace, iterates = [val], [x_T]
+    best = stall = 0
     for m in range(cfg.max_iters):
         if not np.all(np.isfinite(d)):
             raise OptimizationError(f"non-finite gradient at iteration {m}")
         x_T = project(x_T - cfg.step * d, x_bar_T, c_up, c_down, cfg.budget, l, u)
-        iterations += 1
         val, d = _value_and_direction(f, H, x_C, x_T, means, stds, cfg)
+        stall = 0 if val < trace[best] - cfg.tol else stall + 1
+        if val < trace[best]:
+            best = len(trace)
         trace.append(val)
-        iterates.append(x_T.copy())
-        if val < best_obj - cfg.tol:
-            best_obj, best_x = val, x_T.copy()
-            stall = 0
-        else:
-            if val < best_obj:
-                best_obj, best_x = val, x_T.copy()
-            stall += 1
-            if stall >= cfg.patience:
-                break
+        iterates.append(x_T)
+        if stall >= PATIENCE:
+            break
+    best_x = iterates[best]
     return PolicyResult(
         x_T_star=best_x,
         objective_trace=np.asarray(trace),
         aps_star=make_aps_result(best_x, means, stds),
-        iterations_used=iterations,
+        iterations_used=len(trace) - 1,
         cost_spent=cost(best_x - x_bar_T, c_up, c_down),
         iterates=np.asarray(iterates),
     )

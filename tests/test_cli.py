@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -159,6 +160,62 @@ class TestOptimize:
                 in err)
         assert not (tmp_path / "fail" / "policies.json").exists()
 
+    @pytest.mark.parametrize("flags", [["--variant", "g,f"],
+                                       ["--lambda", "0.1,5"],
+                                       ["--lambda", "0.1", "--lambda", "5"]])
+    def test_more_than_one_variant_or_lambda_exit_2(self, corpus, trained,
+                                                     tmp_path, capsys, flags):
+        csv_path, schema_path = corpus
+        code = main(["optimize", "--data", csv_path, "--schema", schema_path,
+                     "--out", str(tmp_path / "many"), "--artifacts",
+                     str(trained), "--budget", "1"] + flags)
+        assert code == 2
+        assert f"optimize expects exactly one {flags[0]}" in capsys.readouterr().err
+        assert not (tmp_path / "many" / "policies.json").exists()
+
+    def test_seed_flag_rejected(self, corpus, trained, tmp_path, capsys):
+        # the split follows the seed in the manifest, so that only
+        # validation-half rows are ever served
+        csv_path, schema_path = corpus
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "--data", csv_path, "--schema", schema_path,
+                  "--out", str(tmp_path / "s"), "--artifacts", str(trained),
+                  "--budget", "1", "--seed", "7"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_treatments_differing_from_manifest_exit_2(self, corpus, trained,
+                                                       tmp_path, capsys):
+        csv_path, schema_path = corpus
+        with open(csv_path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        a, b = rows[0].index("studytime"), rows[0].index("goout")
+        for row in rows:
+            row[a], row[b] = row[b], row[a]
+        swapped = tmp_path / "swapped.csv"
+        with open(swapped, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+        with open(schema_path, encoding="utf-8") as fh:
+            schema = json.load(fh)
+        schema["treatment"].remove("absences")
+        schema["control"].append("absences")
+        for key in ("cost_up", "cost_down", "lower", "upper"):
+            del schema[key]["absences"]
+        fewer = tmp_path / "fewer.json"
+        fewer.write_text(json.dumps(schema))
+        trained_on = json.loads((trained / "manifest.json").read_text())["treatments"]
+        for data, schema_file in ((str(swapped), schema_path),
+                                  (csv_path, str(fewer))):
+            code = main(["optimize", "--data", data, "--schema", schema_file,
+                         "--out", str(tmp_path / "t"), "--artifacts",
+                         str(trained), "--budget", "1"])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert str(trained_on) in err
+            assert str(list(load_dataset(data, schema_file).schema
+                            .treatment_names())) in err
+        assert not (tmp_path / "t" / "policies.json").exists()
+
     def test_missing_artifacts_exit_2(self, corpus, tmp_path, capsys):
         csv_path, schema_path = corpus
         code = main(["optimize", "--data", csv_path, "--schema", schema_path,
@@ -188,6 +245,24 @@ class TestEvaluate:
                      "--out", str(tmp_path / "z"), "--budget", ""])
         assert code == 2
         assert "empty sweep" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_2(self, corpus, tmp_path, capsys, jobs):
+        csv_path, schema_path = corpus
+        code = main(["evaluate", "--data", csv_path, "--schema", schema_path,
+                     "--out", str(tmp_path / "j"), "--budget", "0",
+                     "--jobs", jobs])
+        assert code == 2
+        assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+
+    def test_bad_env_seed_named(self, corpus, tmp_path, monkeypatch, capsys):
+        csv_path, schema_path = corpus
+        monkeypatch.setenv("PROPHIT_SEED", "abc")
+        code = main(["evaluate", "--data", csv_path, "--schema", schema_path,
+                     "--out", str(tmp_path / "bad"), "--budget", "0"])
+        assert code == 2
+        assert "PROPHIT_SEED must be an integer, got 'abc'" in (
+            capsys.readouterr().err)
 
     def test_env_seed_fallback(self, corpus, tmp_path, monkeypatch):
         csv_path, schema_path = corpus

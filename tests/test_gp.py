@@ -5,8 +5,7 @@ import pytest
 
 from causalinv.gp import (KernelConfig, _lml_and_grad, _sqdist, _tril_inv,
                           aps, aps_gradient, fit_gp, gp_from_dict, gp_to_dict,
-                          make_aps_result, predict_batch, treatment_profile,
-                          weight_treatments)
+                          make_aps_result, predict_batch, treatment_profile)
 from tests.oracles import central_diff, dense_gp_predict, dense_log_marginal
 
 
@@ -64,24 +63,6 @@ class TestApsGradient:
             (aps([xi + 1e-5], [m], [s])[0] - aps([xi - 1e-5], [m], [s])[0]) / 2e-5
             for xi, m, s in zip(x, mu, sd)])
         assert np.abs(grad - fd).max() < 1e-6
-
-
-class TestWeighting:
-    def test_identity_weights(self):
-        np.testing.assert_array_equal(
-            weight_treatments([0.3, 0.7], [1.0, 1.0]), [0.3, 0.7])
-
-    def test_zero_vector_absorbs(self):
-        np.testing.assert_array_equal(
-            weight_treatments([0.0, 0.0], [0.4, 0.2]), [0.0, 0.0])
-
-    def test_elementwise_product(self):
-        np.testing.assert_allclose(
-            weight_treatments([0.5, 1.0], [0.4, 0.2]), [0.2, 0.2])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            weight_treatments([1.0, 2.0], [1.0])
 
 
 class TestFit:

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from causalinv.data import Dataset
-from causalinv.gp import KernelConfig, fit_gp, make_aps_result, treatment_profile
-from causalinv.nets import (IndirectEstimator, MlpClassifier,
+from causalinv.gp import (ApsResult, KernelConfig, fit_gp, make_aps_result,
+                          treatment_profile)
+from causalinv.nets import (IndirectEstimator, MlpClassifier, _design,
                             classifier_from_dict, classifier_to_dict,
                             grad_wrt_treatments, indirect_from_dict,
                             indirect_to_dict, predict_proba, train_classifier,
@@ -164,9 +165,7 @@ class TestPredictProba:
         f = _random_classifier(2, 1, 2, seed=12, weighted=True)
         H = _random_indirect(2, 2, 1, seed=13)
         x_C, x_T = np.array([0.3, 0.6]), np.array([0.4, 0.9])
-        res = make_aps_result(x_T, x_T.copy(), np.full(2, 1.0))
-        res = res.__class__(mean=res.mean, std=res.std,
-                            density=np.ones(2), density_grad=np.zeros(2))
+        res = ApsResult(density=np.ones(2), density_grad=np.zeros(2))
         weighted_val = predict_proba(f, H, x_C, x_T, res)
         f_raw = MlpClassifier(f.layer_dims, f.weights, f.biases, False,
                               f.n_controls, f.n_indirect, f.n_treatments)
@@ -228,12 +227,37 @@ class TestGradient:
     def test_unit_density_chain_flag_irrelevant(self):
         f, H = self._setup(26, weighted=True)
         x_C, x_T = np.full(3, 0.4), np.full(2, 0.6)
-        from causalinv.gp import ApsResult
-        res = ApsResult(mean=x_T.copy(), std=np.ones(2),
-                        density=np.ones(2), density_grad=np.zeros(2))
+        res = ApsResult(density=np.ones(2), density_grad=np.zeros(2))
         _, g_off = grad_wrt_treatments(f, H, x_C, x_T, res, include_aps_chain=False)
         _, g_on = grad_wrt_treatments(f, H, x_C, x_T, res, include_aps_chain=True)
         np.testing.assert_allclose(g_off, g_on, atol=1e-15)
+
+
+class TestDesign:
+    """The classifier input: treatments weighted elementwise by the density."""
+
+    def test_identity_weights(self):
+        np.testing.assert_array_equal(
+            _design([0.1], [], [0.3, 0.7], np.ones(2)), [0.1, 0.3, 0.7])
+
+    def test_zero_vector_absorbs(self):
+        np.testing.assert_array_equal(
+            _design([0.1], [0.2], [0.0, 0.0], np.array([0.4, 0.2])),
+            [0.1, 0.2, 0.0, 0.0])
+
+    def test_elementwise_product(self):
+        np.testing.assert_allclose(
+            _design([0.1], [0.2], [0.5, 1.0], np.array([0.4, 0.2])),
+            [0.1, 0.2, 0.2, 0.2])
+
+    def test_rows_of_a_matrix(self):
+        X_C, X_I, X_T = np.ones((3, 1)), np.full((3, 1), 0.5), np.full((3, 2), 2.0)
+        density = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+        np.testing.assert_array_equal(
+            _design(X_C, X_I, X_T, density),
+            np.column_stack([X_C, X_I, 2.0 * density]))
+        np.testing.assert_array_equal(_design(X_C, X_I, X_T),
+                                      np.column_stack([X_C, X_I, X_T]))
 
 
 class TestWeightedTraining:

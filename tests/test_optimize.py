@@ -334,6 +334,48 @@ class TestObjective:
             assert np.abs(direction - fd).max() < 1e-5
 
 
+@st.composite
+def _network_problem(draw):
+    """A random small classifier pair (plain and weighted), an indirect
+    estimator (a pass-through when there are no indirect features),
+    predictive moments and an evaluation point."""
+    n_c, n_i, n_t = draw(st.integers(1, 3)), draw(st.integers(0, 2)), \
+        draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2 ** 16))
+    rng = np.random.default_rng(seed)
+    hidden = (int(rng.integers(2, 7)),)
+    f = {weighted: _random_classifier(n_c, n_i, n_t, seed=seed,
+                                      weighted=weighted, hidden=hidden)
+         for weighted in (False, True)}
+    H = (_random_indirect(n_c, n_t, n_i, seed=seed + 1) if n_i
+         else IndirectEstimator.passthrough(n_c, n_t))
+    return (f, H, rng.random(n_c), rng.uniform(0.05, 0.95, n_t),
+            rng.uniform(0.2, 0.8, n_t), rng.uniform(0.15, 0.5, n_t))
+
+
+class TestDirectionProperties:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(_network_problem())
+    def test_direction_matches_finite_differences(self, prob):
+        # fprime-noopt holds the propensity at the evaluation point, so its
+        # direction is the derivative of the value with the density frozen
+        f, H, x_C, x_T, means, stds = prob
+        frozen = make_aps_result(x_T, means, stds)
+        for variant in Variant:
+            cfg = OptimizationConfig(budget=1.0, variant=variant,
+                                     lam=0.8 * (variant is Variant.G))
+            f_v = f[variant.needs_weighted]
+            _, d = _value_and_direction(f_v, H, x_C, x_T, means, stds, cfg)
+            if variant is Variant.FPRIME_NOOPT:
+                fd = central_diff(
+                    lambda xt: predict_proba(f_v, H, x_C, xt, frozen), x_T)
+            else:
+                fd = central_diff(
+                    lambda xt: _value_and_direction(f_v, H, x_C, xt, means,
+                                                    stds, cfg)[0], x_T)
+            assert np.abs(d - fd).max() < 1e-5, variant
+
+
 class TestOneEvaluationPerIterate:
     """Each iterate's objective value comes from the same network pass as its
     descent direction."""

@@ -3,12 +3,15 @@ traced run wraps functions by module and name and its hooks read some of their
 arguments by parameter name, and its sweep workload counts and keeps every
 ``optimize`` call that ``causalinv evaluate`` makes. These checks read
 ``perfbench/spans.py`` as it stands and fail when a change to the package
-would break either run."""
+would break either run; the last one runs ``perfbench/selftest.py``, which
+calls the package the way the benchmark's output checks do."""
 
 import importlib
 import importlib.util
 import inspect
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -20,7 +23,8 @@ from causalinv.gp import make_aps_result, treatment_profile
 from causalinv.nets import predict_proba
 from tests.conftest import make_dataset
 
-SPANS = os.path.join(os.path.dirname(__file__), "..", "perfbench", "spans.py")
+PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
+SPANS = os.path.join(PERFBENCH, "spans.py")
 LIGHT = TrainSettings(gp_restarts=0, folds=2, arch_grid=((4,),), epochs=10)
 
 
@@ -104,3 +108,11 @@ def test_ifee_scores_one_row(tiny):
     after = predict_proba(side.f_weighted, side.H, x_C, x_star,
                           make_aps_result(x_star, means, stds))
     assert isinstance(eff, float) and abs(eff - (before - after)) < 1e-12
+
+
+def test_benchmark_selftest_passes():
+    # the benchmark's output checks run against this package's real output;
+    # the self-test writes only under perfbench/out/
+    done = subprocess.run([sys.executable, os.path.join(PERFBENCH, "selftest.py")],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
