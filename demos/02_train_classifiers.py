@@ -43,12 +43,12 @@ print("\nindirect estimator held-out RMSE per feature:")
 for name, r in zip((ds.schema.feature_names[j] for j in ds.schema.indirect_idx), rmse):
     print(f"    {name:<12s} {r:.3f}")
 
-# the weighted classifier needs an ApsResult at prediction time
+# the weighted classifier weights its treatments by their APS, so it needs
+# the assignment GPs' predictive (means, stds) at the student's controls
 x = val_half.X[0]
 x_C = x[list(ds.schema.control_idx)]
 x_T = x[list(ds.schema.treatment_idx)]
-means, stds = ci.treatment_profile(side.gps, x_C)
-res = ci.make_aps_result(x_T, means, stds)
+profile = ci.treatment_profile(side.gps, x_C)
 print(f"\none student: plain P(bad grade) = "
       f"{ci.predict_proba(side.f_plain, side.H, x_C, x_T):.3f}, "
-      f"corrected = {ci.predict_proba(side.f_weighted, side.H, x_C, x_T, res):.3f}")
+      f"corrected = {ci.predict_proba(side.f_weighted, side.H, x_C, x_T, profile):.3f}")

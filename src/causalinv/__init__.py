@@ -12,12 +12,12 @@ the policies with an independently trained validation model.
 
 from .data import (DataError, Dataset, FeatureSchema, SchemaError, denormalize,
                    load_dataset, normalize, split_half)
-from .gp import (ApsResult, KernelConfig, TreatmentGP, aps, aps_gradient,
-                 fit_gp, make_aps_result, predict_batch, treatment_profile)
+from .gp import (ApsResult, KernelConfig, TreatmentGP, aps, fit_gp,
+                 make_aps_result, predict_batch, treatment_profile)
 from .nets import (IndirectEstimator, MlpClassifier, grad_wrt_treatments,
                    predict_proba, train_classifier, train_indirect)
 from .optimize import (OptimizationConfig, OptimizationError, PolicyResult,
-                       Variant, cost, objective_value, optimize, project)
+                       Variant, cost, optimize, project)
 from .experiment import (CellStats, ExperimentReport, SideModels,
                          TrainSettings, fit_side_models, ifee, run_experiment,
                          write_report, write_sweep_csv)
@@ -28,11 +28,10 @@ __all__ = [
     "ApsResult", "CellStats", "DataError", "Dataset", "ExperimentReport",
     "FeatureSchema", "IndirectEstimator", "KernelConfig", "MlpClassifier",
     "OptimizationConfig", "OptimizationError", "PolicyResult", "SchemaError",
-    "SideModels", "TrainSettings", "TreatmentGP", "Variant", "aps",
-    "aps_gradient", "cost", "denormalize", "fit_gp", "fit_side_models",
-    "grad_wrt_treatments", "ifee", "load_dataset", "make_aps_result",
-    "normalize", "objective_value", "optimize", "predict_batch",
-    "predict_proba", "project", "run_experiment", "split_half",
-    "train_classifier", "train_indirect", "treatment_profile",
+    "SideModels", "TrainSettings", "TreatmentGP", "Variant", "aps", "cost",
+    "denormalize", "fit_gp", "fit_side_models", "grad_wrt_treatments",
+    "ifee", "load_dataset", "make_aps_result", "normalize", "optimize",
+    "predict_batch", "predict_proba", "project", "run_experiment",
+    "split_half", "train_classifier", "train_indirect", "treatment_profile",
     "write_report", "write_sweep_csv",
 ]

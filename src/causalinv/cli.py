@@ -22,8 +22,8 @@ from dataclasses import asdict, replace
 from .data import (DataError, SchemaError, denormalize, load_dataset,
                    normalize, split_half)
 from .experiment import (SideModels, TrainSettings, _derive_seed,
-                         fit_side_models, run_experiment, write_report,
-                         write_sweep_csv)
+                         fit_side_models, run_experiment, write_json,
+                         write_report, write_sweep_csv)
 from .gp import gp_from_dict, gp_to_dict
 from .nets import classifier_from_dict, classifier_to_dict, indirect_from_dict, indirect_to_dict
 from .optimize import OptimizationConfig, OptimizationError, Variant, optimize
@@ -78,11 +78,6 @@ def _safe_name(name):
     return "".join(ch if ch.isalnum() else "_" for ch in name)
 
 
-def _dump_json(doc, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-
-
 def cmd_train(args) -> int:
     seed = _seed_from(args)
     settings = _settings_from(args)
@@ -92,13 +87,13 @@ def cmd_train(args) -> int:
 
     models_dir = os.path.join(args.out, "models")
     os.makedirs(models_dir, exist_ok=True)
-    _dump_json(classifier_to_dict(side.f_weighted),
+    write_json(classifier_to_dict(side.f_weighted),
                os.path.join(models_dir, "classifier_weighted.json"))
-    _dump_json(classifier_to_dict(side.f_plain),
+    write_json(classifier_to_dict(side.f_plain),
                os.path.join(models_dir, "classifier_plain.json"))
-    _dump_json(indirect_to_dict(side.H), os.path.join(models_dir, "indirect.json"))
+    write_json(indirect_to_dict(side.H), os.path.join(models_dir, "indirect.json"))
     for name, gp in zip(ds.schema.treatment_names(), side.gps):
-        _dump_json(gp_to_dict(gp),
+        write_json(gp_to_dict(gp),
                    os.path.join(models_dir, f"gp_{_safe_name(name)}.json"))
     manifest = {
         "format": MANIFEST_FORMAT,
@@ -117,7 +112,7 @@ def cmd_train(args) -> int:
                        "at_bound": list(gp.at_bound)}
                 for name, gp in zip(ds.schema.treatment_names(), side.gps)},
     }
-    _dump_json(manifest, os.path.join(args.out, "manifest.json"))
+    write_json(manifest, os.path.join(args.out, "manifest.json"))
     print(f"trained models written to {models_dir}")
     print(f"selected architectures: weighted={manifest['classifiers']['weighted']['arch']} "
           f"plain={manifest['classifiers']['plain']['arch']}")
@@ -199,7 +194,7 @@ def cmd_optimize(args) -> int:
         })
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "policies.json")
-    _dump_json(records, out_path)
+    write_json(records, out_path)
     for rec in records[:args.print_limit]:
         print(f"row {rec['row']}: cost {rec['cost']:.3f} "
               f"objective {rec['objective_initial']:.4f} -> {rec['objective_final']:.4f}")

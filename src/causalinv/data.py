@@ -40,7 +40,6 @@ class FeatureSchema:
     lower: np.ndarray
     upper: np.ndarray
     feature_names: tuple
-    categorical_cols: tuple = ()
 
     def __post_init__(self):
         c, i, t = set(self.control_idx), set(self.indirect_idx), set(self.treatment_idx)
@@ -245,7 +244,6 @@ def load_dataset(path, schema_path):
         upper=_treat_param("upper", None) if raw.get("upper") else
               np.array([X[:, j].max() for j in treatment_idx]),
         feature_names=tuple(out_names),
-        categorical_cols=tuple(categorical),
     )
     XT = X[:, list(treatment_idx)]
     outside = (XT < schema.lower) | (XT > schema.upper)

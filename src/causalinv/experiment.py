@@ -22,7 +22,7 @@ from functools import partial
 import numpy as np
 
 from .data import Dataset, split_half
-from .gp import KernelConfig, fit_gp, make_aps_result, treatment_profile
+from .gp import KernelConfig, fit_gp, treatment_profile
 from .nets import (DEFAULT_ARCH_GRID, DEFAULT_BATCH, DEFAULT_EPOCHS, DEFAULT_LR,
                    predict_proba, train_classifier, train_indirect)
 from .optimize import OptimizationConfig, OptimizationError, Variant, optimize
@@ -112,18 +112,20 @@ def fit_side_models(half: Dataset, seed: int,
 
 def ifee(f_val, H_val, gps_val, schema, x_bar, x_star, weighted: bool,
          profile=None) -> float:
-    """Validation-model improvement: output at x_bar minus output at x_star."""
+    """Validation-model improvement: output at x_bar minus output at x_star.
+
+    Only a classifier that weights its treatments (``f_val.weighted``) needs
+    the validation GPs' profile at the row's controls, and it is computed
+    here unless passed in as ``profile``. ``weighted`` is ignored: it is kept
+    only so that existing keyword callers still work.
+    """
     x_bar = np.asarray(x_bar, dtype=np.float64)
-    x_star = np.asarray(x_star, dtype=np.float64)
     x_C = x_bar[list(schema.control_idx)]
     x_bar_T = x_bar[list(schema.treatment_idx)]
-    aps_bar = aps_star = None
-    if weighted:
-        means, stds = treatment_profile(gps_val, x_C) if profile is None else profile
-        aps_bar = make_aps_result(x_bar_T, means, stds)
-        aps_star = make_aps_result(x_star, means, stds)
-    return (predict_proba(f_val, H_val, x_C, x_bar_T, aps_bar)
-            - predict_proba(f_val, H_val, x_C, x_star, aps_star))
+    if f_val.weighted and profile is None:
+        profile = treatment_profile(gps_val, x_C)
+    return (predict_proba(f_val, H_val, x_C, x_bar_T, profile)
+            - predict_proba(f_val, H_val, x_C, x_star, profile))
 
 
 def _filter_3sigma(values) -> tuple:
@@ -143,20 +145,22 @@ def _policy_aps(density, x_star, x_bar_T, threshold):
     return float(np.mean(density[adjusted])) if adjusted.any() else float(np.mean(density))
 
 
-def _cell_grid(variants, budgets, lambdas):
-    """Sweep cells in deterministic order; lambda only varies for variant g."""
+def _cell_grid(variants, budgets, lambdas, step, max_iters):
+    """The :class:`OptimizationConfig` of each sweep cell, in deterministic
+    order; lambda only varies for variant g. A bad value raises here."""
     cells = []
     for v in variants:
         v = Variant(v)
         lams = tuple(lambdas) if v is Variant.G else (0.0,)
         for b in budgets:
             for lam in lams:
-                cells.append((v, float(b), float(lam)))
+                cells.append(OptimizationConfig(
+                    budget=float(b), step=step, max_iters=max_iters,
+                    lam=float(lam), variant=v))
     return cells
 
 
-def _score_row(val, opt_models, val_models, cells, step, max_iters, threshold,
-               i):
+def _score_row(val, opt_models, val_models, cells, threshold, i):
     """Optimize validation row ``i`` for every sweep cell and score it: per
     cell ``(ifee, instance APS, adjusted mask)``, or None if the search failed."""
     schema = val.schema
@@ -166,9 +170,8 @@ def _score_row(val, opt_models, val_models, cells, step, max_iters, threshold,
     opt_profile = treatment_profile(opt_models.gps, x_C)
     val_profile = treatment_profile(val_models.gps, x_C)
     per_cell = []
-    for (variant, budget, lam) in cells:
-        cfg = OptimizationConfig(budget=budget, step=step, max_iters=max_iters,
-                                 lam=lam, variant=variant)
+    for cfg in cells:
+        variant = cfg.variant
         try:
             policy = optimize(x_bar, opt_models.classifier(variant), opt_models.H,
                               opt_models.gps, schema, cfg, profile=opt_profile)
@@ -207,14 +210,14 @@ def run_experiment(ds: Dataset, budgets, lambdas, variants, seed: int,
         raise ValueError("need at least one treatment")
     variants = tuple(Variant(v) for v in variants)
     lambdas = tuple(float(x) for x in lambdas) or (0.0,)
+    cells = _cell_grid(variants, budgets, lambdas, step, max_iters)
 
     opt_half, val_half = split_half(ds, seed)
     opt_models = fit_side_models(opt_half, _derive_seed(seed, 1), settings)
     val_models = fit_side_models(val_half, _derive_seed(seed, 2), settings)
 
-    cells = _cell_grid(variants, budgets, lambdas)
-    score = partial(_score_row, val_half, opt_models, val_models, cells, step,
-                    max_iters, threshold)
+    score = partial(_score_row, val_half, opt_models, val_models, cells,
+                    threshold)
     rows = range(val_half.n)
     if jobs > 1:
         # one chunk per worker, so each worker unpickles the models once
@@ -226,7 +229,7 @@ def run_experiment(ds: Dataset, budgets, lambdas, variants, seed: int,
 
     n_t = ds.schema.n_treatments
     cell_stats = []
-    for ci, (variant, budget, lam) in enumerate(cells):
+    for ci, cfg in enumerate(cells):
         effs, apses = [], []
         freq = np.zeros(n_t, dtype=np.int64)
         failed = []
@@ -245,7 +248,7 @@ def run_experiment(ds: Dataset, budgets, lambdas, variants, seed: int,
         else:  # every row failed: report the cell rather than abort the sweep
             ifee_mean, aps_mean, kept = float("nan"), float("nan"), 0
         cell_stats.append(CellStats(
-            variant=variant.value, budget=budget, lam=lam,
+            variant=cfg.variant.value, budget=cfg.budget, lam=cfg.lam,
             ifee_mean=ifee_mean, aps_mean=aps_mean, kept=kept,
             n_instances=len(effs), n_failed=len(failed),
             failed_rows=tuple(failed), freq_counts=tuple(int(c) for c in freq)))
@@ -272,9 +275,14 @@ def report_to_dict(report: ExperimentReport) -> dict:
     return doc
 
 
-def write_report(report: ExperimentReport, path) -> None:
+def write_json(doc, path) -> None:
+    """The one JSON writer of reports, manifests, models and policies."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report_to_dict(report), fh, sort_keys=True, indent=1)
+        json.dump(doc, fh, sort_keys=True, indent=1)
+
+
+def write_report(report: ExperimentReport, path) -> None:
+    write_json(report_to_dict(report), path)
 
 
 def write_sweep_csv(report: ExperimentReport, path) -> None:

@@ -311,11 +311,6 @@ def aps(x_T, means, stds) -> np.ndarray:
     return np.exp(-0.5 * z * z) / (SQRT_2PI * stds)
 
 
-def aps_gradient(x_T, means, stds) -> np.ndarray:
-    """Derivative of :func:`aps` with respect to each treatment value."""
-    return make_aps_result(x_T, means, stds).density_grad
-
-
 def make_aps_result(x_T, means, stds) -> ApsResult:
     """Propensity density and its gradient at ``x_T`` under the predictive
     moments ``means`` and ``stds``."""

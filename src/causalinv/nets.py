@@ -3,9 +3,13 @@
 The classifier maps (controls, indirect features, treatments) to the
 probability of the undesirable class; in its propensity-corrected form the
 treatment inputs are first multiplied elementwise by their approximate
-propensity scores. The indirect estimator regresses the indirectly changeable
-features on (controls, treatments) so that a candidate policy's downstream
-feature values can be re-estimated during optimization.
+propensity scores, which the classifier computes itself from the assignment
+GPs' predictive profile (means, stds) at the row's controls. The indirect
+estimator regresses the indirectly changeable features on (controls,
+treatments) so that a candidate policy's downstream feature values can be
+re-estimated during optimization. At one row both networks are evaluated by
+:func:`grad_wrt_treatments` alone, which gives the output and its gradient
+from one pass of each.
 
 Both networks are plain numpy: tanh hidden layers, seeded initialization,
 mini-batch gradient descent. Architecture selection for the classifier is by
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gp import ApsResult, aps, treatment_profile
+from .gp import aps, make_aps_result, treatment_profile
 
 DEFAULT_ARCH_GRID = ((16,), (32,), (16, 16), (32, 16))
 DEFAULT_EPOCHS = 400
@@ -85,8 +89,9 @@ class MlpClassifier:
     """Binary classifier with tanh hidden layers and a sigmoid output.
 
     ``weighted`` records whether training inputs used propensity-weighted
-    treatments; callers must pass an :class:`~causalinv.gp.ApsResult` at
-    prediction time exactly when it did.
+    treatments. A weighted classifier needs the assignment GPs' profile
+    ``(means, stds)`` at a row's controls to be evaluated there, and weights
+    its treatments with the density it gives; a plain one ignores it.
     """
 
     layer_dims: tuple
@@ -99,16 +104,15 @@ class MlpClassifier:
     training_meta: dict = field(default_factory=dict)
 
     def forward(self, Z):
-        """Probability of the undesirable class for assembled input rows."""
-        Z = np.asarray(Z, dtype=np.float64)
-        single = Z.ndim == 1
-        acts, z_out = _forward_tanh(np.atleast_2d(Z), self.weights, self.biases)
-        p = 1.0 / (1.0 + np.exp(-z_out[:, 0]))
-        return float(p[0]) if single else p
+        """Probability of the undesirable class for each assembled input row
+        of the matrix ``Z``."""
+        _, z_out = _forward_tanh(np.asarray(Z, dtype=np.float64),
+                                 self.weights, self.biases)
+        return 1.0 / (1.0 + np.exp(-z_out[:, 0]))
 
     def input_gradient(self, z):
-        """Output probability at one input row, as :meth:`forward` gives it,
-        and its gradient with respect to the row."""
+        """Output probability at one input row, as :meth:`forward` gives it
+        for that row, and its gradient with respect to the row."""
         acts, z_out = _forward_tanh(np.asarray(z, dtype=np.float64)[None, :],
                                     self.weights, self.biases)
         p = 1.0 / (1.0 + np.exp(-z_out[:, 0]))
@@ -138,23 +142,18 @@ class IndirectEstimator:
         return cls(weights=[], biases=[], n_controls=n_controls,
                    n_treatments=n_treatments, n_indirect=0)
 
-    def _raw(self, Z):
-        _, z_out = _forward_tanh(Z, self.weights, self.biases)
-        return z_out
-
-    def predict(self, x_C, x_T):
-        x_C = np.asarray(x_C, dtype=np.float64)
-        x_T = np.asarray(x_T, dtype=np.float64)
+    def predict(self, X_C, X_T):
+        """Indirect features for each row of the control and treatment
+        matrices."""
+        X_C = np.asarray(X_C, dtype=np.float64)
         if self.n_indirect == 0:
-            return np.zeros(0) if x_C.ndim == 1 else np.zeros((x_C.shape[0], 0))
-        single = x_C.ndim == 1
-        Z = np.concatenate([np.atleast_2d(x_C), np.atleast_2d(x_T)], axis=1)
-        out = np.clip(self._raw(Z), 0.0, 1.0)
-        return out[0] if single else out
+            return np.zeros((X_C.shape[0], 0))
+        Z = np.concatenate([X_C, np.asarray(X_T, dtype=np.float64)], axis=1)
+        return np.clip(_forward_tanh(Z, self.weights, self.biases)[1], 0.0, 1.0)
 
     def jacobian_wrt_treatments(self, x_C, x_T):
-        """:meth:`predict` at one row and d(predict)/d(x_T), with zero
-        Jacobian rows where the output clip saturates."""
+        """:meth:`predict` at one row, as a vector, and d(predict)/d(x_T),
+        with zero Jacobian rows where the output clip saturates."""
         if self.n_indirect == 0:
             return np.zeros(0), np.zeros((0, self.n_treatments))
         z = np.concatenate([np.asarray(x_C, dtype=np.float64),
@@ -250,47 +249,45 @@ def train_indirect(ds, seed: int = 0, epochs: int = DEFAULT_EPOCHS,
                                             "batch": batch, "seed": seed})
 
 
-def _assemble(f: MlpClassifier, x_C, h, x_T, aps_res):
-    """Classifier input row from controls, indirect features and treatments."""
-    if f.weighted and aps_res is None:
-        raise ValueError("classifier was trained on weighted treatments; "
-                         "an ApsResult is required")
-    return _design(x_C, h, x_T, aps_res.density if f.weighted else None)
-
-
 def predict_proba(f: MlpClassifier, H: IndirectEstimator, x_C, x_T,
-                  aps_res: ApsResult | None = None) -> float:
-    """Classifier output with indirect features re-estimated from (x_C, x_T).
-
-    The indirect estimator consumes raw treatments; only the classifier's
-    direct treatment inputs are propensity-weighted.
-    """
-    x_C = np.asarray(x_C, dtype=np.float64)
-    x_T = np.asarray(x_T, dtype=np.float64)
-    return f.forward(_assemble(f, x_C, H.predict(x_C, x_T), x_T, aps_res))
+                  profile=None) -> float:
+    """Classifier output at one row, with the indirect features re-estimated
+    from (x_C, x_T): the value :func:`grad_wrt_treatments` returns."""
+    return grad_wrt_treatments(f, H, x_C, x_T, profile)[0]
 
 
 def grad_wrt_treatments(f: MlpClassifier, H: IndirectEstimator, x_C, x_T,
-                        aps_res: ApsResult | None = None,
-                        include_aps_chain: bool = False) -> tuple:
-    """:func:`predict_proba` at x_T and its total derivative with respect to
+                        profile=None, include_aps_chain: bool = False) -> tuple:
+    """Classifier output at one row and its total derivative with respect to
     x_T, as ``(value, gradient)`` from one pass of each network.
 
-    Accumulates both the indirect path (through H) and the direct treatment
-    path. For a weighted classifier the weighting map contributes the factor
+    The indirect estimator consumes raw treatments. A weighted classifier
+    multiplies its direct treatment inputs by their propensity density under
+    ``profile``, the assignment GPs' ``(means, stds)`` at x_C, and raises
+    without one; a plain classifier ignores ``profile``. The gradient
+    accumulates the indirect path (through H) and the direct treatment path;
+    for a weighted classifier the weighting map contributes the factor
     (phi + dphi * x_T) on the direct path when ``include_aps_chain`` is set,
     and phi alone (the propensity held constant) otherwise.
     """
     x_C = np.asarray(x_C, dtype=np.float64)
     x_T = np.asarray(x_T, dtype=np.float64)
+    density = None
+    if f.weighted:
+        if profile is None:
+            raise ValueError("classifier was trained on weighted treatments; "
+                             "the assignment GPs' (means, stds) profile is "
+                             "required")
+        res = make_aps_result(x_T, *profile)
+        density = res.density
     h, jac = H.jacobian_wrt_treatments(x_C, x_T)
-    p, g = f.input_gradient(_assemble(f, x_C, h, x_T, aps_res))
+    p, g = f.input_gradient(_design(x_C, h, x_T, density))
     n_c, n_i = f.n_controls, f.n_indirect
     g_I = g[n_c:n_c + n_i]
     g_w = g[n_c + n_i:]
     if f.weighted:
-        g_w = g_w * (aps_res.density + aps_res.density_grad * x_T
-                     if include_aps_chain else aps_res.density)
+        g_w = g_w * (density + res.density_grad * x_T
+                     if include_aps_chain else density)
     return p, jac.T @ g_I + g_w
 
 

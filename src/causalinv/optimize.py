@@ -140,26 +140,14 @@ def project(x, x_bar, c_up, c_down, B, l, u) -> np.ndarray:
     return shrunk(np.interp(B, psi[::-1], kinks[::-1]))
 
 
-def objective_value(x_T, x_bar, f, H, gps, schema, cfg: OptimizationConfig,
-                    profile=None) -> float:
-    """Variant-dependent objective at a candidate treatment vector."""
-    x_bar = np.asarray(x_bar, dtype=np.float64)
-    x_C = x_bar[list(schema.control_idx)]
-    means, stds = treatment_profile(gps, x_C) if profile is None else profile
-    return _value_and_direction(f, H, x_C, np.asarray(x_T, dtype=np.float64),
-                                means, stds, cfg)[0]
-
-
 def _value_and_direction(f, H, x_C, x_T, means, stds, cfg):
     """Objective value and descent direction of ``cfg.variant`` at ``x_T``,
-    from one pass of the classifier and the indirect estimator."""
-    variant = cfg.variant
-    if variant is Variant.NON_CAUSAL_F:
-        return grad_wrt_treatments(f, H, x_C, x_T, None, include_aps_chain=False)
-    aps_res = make_aps_result(x_T, means, stds)
-    chain = variant in (Variant.FPRIME_OPT, Variant.G)
-    val, d = grad_wrt_treatments(f, H, x_C, x_T, aps_res, include_aps_chain=chain)
-    if variant is Variant.G:
+    from one pass of the classifier and the indirect estimator; ``means`` and
+    ``stds`` are the assignment GPs' predictive moments at ``x_C``."""
+    chain = cfg.variant in (Variant.FPRIME_OPT, Variant.G)
+    val, d = grad_wrt_treatments(f, H, x_C, x_T, (means, stds),
+                                 include_aps_chain=chain)
+    if cfg.variant is Variant.G:
         val += cfg.lam * float(np.sum((x_T - means) ** 2 / (2.0 * stds * stds)))
         d = d + cfg.lam * (x_T - means) / (stds * stds)
     return val, d

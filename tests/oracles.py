@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's own code paths: the projection oracle
 scans a dense feasible grid, the GP oracle solves the dense linear system
-without a Cholesky factorization, and the finite-difference helpers probe
-functions numerically.
+without a Cholesky factorization, the classifier oracle runs the networks
+from their weight arrays, and the finite-difference helpers probe functions
+numerically.
 """
 
 import numpy as np
@@ -66,6 +67,25 @@ def dense_log_marginal(controls, targets, mean_const, ls, sv, nv, jitter=0.0):
     m = len(X)
     return float(-0.5 * resid @ np.linalg.solve(K, resid) - 0.5 * logdet
                  - 0.5 * m * np.log(2 * np.pi))
+
+
+def classifier_output(f, H, x_C, x_T, density=None):
+    """Classifier probability at one row by a forward pass written from the
+    weight arrays: the indirect features from H (tanh layer, clipped linear
+    output) on the raw treatments, and the classifier's treatment inputs
+    multiplied by a fixed ``density`` when one is given."""
+    def net(weights, biases, z):
+        for W, b in zip(weights[:-1], biases[:-1]):
+            z = np.tanh(W @ z + b)
+        return weights[-1] @ z + biases[-1]
+
+    x_C = np.asarray(x_C, dtype=np.float64)
+    x_T = np.asarray(x_T, dtype=np.float64)
+    h = (np.clip(net(H.weights, H.biases, np.concatenate([x_C, x_T])), 0.0, 1.0)
+         if H.n_indirect else np.zeros(0))
+    w = x_T if density is None else density * x_T
+    z = net(f.weights, f.biases, np.concatenate([x_C, h, w]))
+    return float(1.0 / (1.0 + np.exp(-z[0])))
 
 
 def central_diff(fn, x, h=1e-5):

@@ -13,12 +13,11 @@ import pytest
 import causalinv as ci
 from causalinv.experiment import (TrainSettings, fit_side_models,
                                   report_to_dict, run_experiment)
-from causalinv.gp import KernelConfig, aps, aps_gradient, fit_gp, make_aps_result
-from causalinv.nets import grad_wrt_treatments, predict_proba
+from causalinv.gp import KernelConfig, aps, fit_gp, make_aps_result
+from causalinv.nets import grad_wrt_treatments
 from causalinv.optimize import (OptimizationConfig, Variant,
-                                _value_and_direction, cost, objective_value,
-                                optimize, project)
-from tests.oracles import central_diff, grid_project
+                                _value_and_direction, cost, optimize, project)
+from tests.oracles import central_diff, classifier_output, grid_project
 
 SWEEP_SEED = 1
 HEADLINE_LAM = 0.05  # calibrated default for the regularized variant
@@ -73,9 +72,8 @@ class TestCriterion1Gradients:
             row = val_half.X[rng.integers(val_half.n)]
             x_C = row[c_idx]
             x_T = np.clip(row[t_idx] + rng.normal(0, 0.05, len(t_idx)), 0.02, 0.98)
-            x_bar = row.copy()
             prof = ci.treatment_profile(side.gps, x_C)
-            res = make_aps_result(x_T, *prof)
+            density = aps(x_T, *prof)
             for variant, lam in ((Variant.NON_CAUSAL_F, 0.0),
                                  (Variant.FPRIME_NOOPT, 0.0),
                                  (Variant.FPRIME_OPT, 0.0),
@@ -86,11 +84,11 @@ class TestCriterion1Gradients:
                                             prof[1], cfg)
                 if variant is Variant.FPRIME_NOOPT:
                     # propensity frozen at the evaluation point
-                    fn = lambda xt: predict_proba(f, side.H, x_C, xt, res)
+                    fn = lambda xt: classifier_output(f, side.H, x_C, xt,
+                                                      density)
                 else:
-                    fn = lambda xt: objective_value(xt, x_bar, f, side.H,
-                                                    side.gps, schema, cfg,
-                                                    profile=prof)
+                    fn = lambda xt: _value_and_direction(f, side.H, x_C, xt,
+                                                         *prof, cfg)[0]
                 fd = central_diff(fn, x_T)
                 worst = max(worst, float(np.abs(d - fd).max()))
         _verdict(1, worst < 1e-5,
@@ -161,7 +159,7 @@ class TestCriterion3GpAps:
         # error at h=1e-5 exceeds the 1e-6 tolerance being certified
         sd = rng.uniform(0.1, 1.0, 1000)
         x = mu + sd * rng.uniform(-4, 4, 1000)
-        grad = aps_gradient(x, mu, sd)
+        grad = make_aps_result(x, mu, sd).density_grad
         fd = np.array([
             (aps([xi + 1e-5], [m], [s])[0] - aps([xi - 1e-5], [m], [s])[0]) / 2e-5
             for xi, m, s in zip(x, mu, sd)])
@@ -186,15 +184,14 @@ class TestCriterion4ObjectiveUpdateConsistency:
             row = val_half.X[rng.integers(val_half.n)]
             x_C = row[c_idx]
             x_T = np.clip(row[t_idx] + rng.normal(0, 0.05, len(t_idx)), 0.02, 0.98)
-            prof = ci.treatment_profile(side.gps, x_C)
-            means, stds = prof
-            res = make_aps_result(x_T, means, stds)
+            means, stds = ci.treatment_profile(side.gps, x_C)
             update = (grad_wrt_treatments(side.f_weighted, side.H, x_C, x_T,
-                                          res, include_aps_chain=True)[1]
+                                          (means, stds),
+                                          include_aps_chain=True)[1]
                       + cfg.lam * (x_T - means) / (stds * stds))
             fd = central_diff(
-                lambda xt: objective_value(xt, row, side.f_weighted, side.H,
-                                           side.gps, schema, cfg, profile=prof),
+                lambda xt: _value_and_direction(side.f_weighted, side.H, x_C,
+                                                xt, means, stds, cfg)[0],
                 x_T)
             worst = max(worst, float(np.abs(update - fd).max()))
         _verdict(4, worst < 1e-5,

@@ -255,6 +255,23 @@ class TestEvaluate:
         assert code == 2
         assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--budget", "-1"], "budget must be nonnegative"),
+        (["--budget", "1", "--step", "-1"], "step size must be nonnegative"),
+        (["--budget", "1", "--max-iters", "0"], "max_iters must be at least 1")])
+    def test_bad_cell_exit_2_before_fitting(self, corpus, tmp_path,
+                                            monkeypatch, capsys, flags,
+                                            message):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit_side_models called")
+
+        monkeypatch.setattr("causalinv.experiment.fit_side_models", no_fit)
+        csv_path, schema_path = corpus
+        code = main(["evaluate", "--data", csv_path, "--schema", schema_path,
+                     "--out", str(tmp_path / "c")] + flags)
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     def test_bad_env_seed_named(self, corpus, tmp_path, monkeypatch, capsys):
         csv_path, schema_path = corpus
         monkeypatch.setenv("PROPHIT_SEED", "abc")

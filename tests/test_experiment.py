@@ -9,7 +9,7 @@ from causalinv.experiment import (ADJUST_THRESHOLD, TrainSettings,
                                   write_sweep_csv)
 from causalinv.gp import KernelConfig, fit_gp
 from causalinv.nets import IndirectEstimator, MlpClassifier
-from causalinv.optimize import OptimizationError, Variant
+from causalinv.optimize import OptimizationConfig, OptimizationError, Variant
 from tests.conftest import make_dataset, make_schema
 
 
@@ -77,6 +77,17 @@ class TestIfee:
             ba = ifee(f, self.H, self.gps, self.schema, xb, a, weighted=True)
             assert abs(ab + ba) < 1e-15
 
+    def test_classifier_decides_weighting(self):
+        # whether the GP profile is needed follows f.weighted; the weighted
+        # keyword does not change the value
+        f = _monotone_f(1, 1, slope=1.7, weighted=True)
+        x_bar = np.array([0.4, 0.5])
+        x_star = np.array([0.3])
+        assert (ifee(f, self.H, self.gps, self.schema, x_bar, x_star,
+                     weighted=False)
+                == ifee(f, self.H, self.gps, self.schema, x_bar, x_star,
+                        weighted=True))
+
 
 class TestAverageAps:
     """A cell's average APS as the sweep computes it: :func:`_policy_aps`
@@ -119,10 +130,18 @@ class TestAverageAps:
 class TestCellGrid:
     def test_lambda_applies_only_to_g(self):
         cells = _cell_grid([Variant.G, Variant.NON_CAUSAL_F], [1, 2],
-                           [0.0, 0.5, 1.0])
-        g_cells = [c for c in cells if c[0] is Variant.G]
-        f_cells = [c for c in cells if c[0] is Variant.NON_CAUSAL_F]
+                           [0.0, 0.5, 1.0], step=0.05, max_iters=300)
+        g_cells = [c for c in cells if c.variant is Variant.G]
+        f_cells = [c for c in cells if c.variant is Variant.NON_CAUSAL_F]
         assert len(g_cells) == 6 and len(f_cells) == 2
+        assert {c.lam for c in f_cells} == {0.0}
+
+    def test_cells_are_optimization_configs(self):
+        cells = _cell_grid(["f"], [0, 2], [0.0], step=0.02, max_iters=7)
+        assert cells == [
+            OptimizationConfig(budget=b, step=0.02, max_iters=7, lam=0.0,
+                               variant=Variant.NON_CAUSAL_F)
+            for b in (0.0, 2.0)]
 
 
 SMALL_SETTINGS = TrainSettings(folds=2, arch_grid=((4,),), epochs=25,
@@ -185,6 +204,19 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="normalized"):
             run_experiment(raw, budgets=[1.0], lambdas=[0.0], variants=["g"],
                            seed=0, settings=SMALL_SETTINGS)
+
+    @pytest.mark.parametrize("kw", [dict(budgets=[-1]), dict(step=-0.1),
+                                    dict(max_iters=0), dict(lambdas=[-1])])
+    def test_bad_cell_rejected_before_fitting(self, tiny_ds, monkeypatch, kw):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit_side_models called before the cells "
+                                 "were checked")
+
+        monkeypatch.setattr("causalinv.experiment.fit_side_models", no_fit)
+        args = dict(budgets=[1.0], lambdas=[0.0], variants=["g"], seed=0,
+                    settings=SMALL_SETTINGS)
+        with pytest.raises(ValueError):
+            run_experiment(tiny_ds, **{**args, **kw})
 
     def test_empty_budgets_rejected(self, tiny_ds):
         with pytest.raises(ValueError, match="budget"):

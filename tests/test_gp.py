@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from causalinv.gp import (KernelConfig, _lml_and_grad, _sqdist, _tril_inv,
-                          aps, aps_gradient, fit_gp, gp_from_dict, gp_to_dict,
+                          aps, fit_gp, gp_from_dict, gp_to_dict,
                           make_aps_result, predict_batch, treatment_profile)
 from tests.oracles import central_diff, dense_gp_predict, dense_log_marginal
 
@@ -47,10 +47,10 @@ class TestApsDensity:
 
 class TestApsGradient:
     def test_zero_at_mean(self):
-        assert aps_gradient([2.0], [2.0], [0.7])[0] == 0.0
+        assert make_aps_result([2.0], [2.0], [0.7]).density_grad[0] == 0.0
 
     def test_value_one_sigma(self):
-        val = aps_gradient([3.0], [2.0], [1.0])
+        val = make_aps_result([3.0], [2.0], [1.0]).density_grad
         assert abs(val[0] - (-0.24197072451914337)) < 1e-10
 
     def test_matches_finite_differences(self):
@@ -58,7 +58,7 @@ class TestApsGradient:
         x = rng.uniform(-2, 2, 1000)
         mu = rng.uniform(-2, 2, 1000)
         sd = rng.uniform(0.1, 1.5, 1000)
-        grad = aps_gradient(x, mu, sd)
+        grad = make_aps_result(x, mu, sd).density_grad
         fd = np.array([
             (aps([xi + 1e-5], [m], [s])[0] - aps([xi - 1e-5], [m], [s])[0]) / 2e-5
             for xi, m, s in zip(x, mu, sd)])

@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 
 from causalinv.data import Dataset
-from causalinv.gp import (ApsResult, KernelConfig, fit_gp, make_aps_result,
-                          treatment_profile)
+from causalinv.gp import SQRT_2PI, KernelConfig, aps, fit_gp, treatment_profile
 from causalinv.nets import (IndirectEstimator, MlpClassifier, _design,
                             classifier_from_dict, classifier_to_dict,
                             grad_wrt_treatments, indirect_from_dict,
                             indirect_to_dict, predict_proba, train_classifier,
                             train_indirect)
 from tests.conftest import make_dataset, make_schema
-from tests.oracles import central_diff
+from tests.oracles import central_diff, classifier_output
 
 
 def _random_classifier(n_c, n_i, n_t, seed=0, weighted=False, hidden=(8,)):
@@ -61,8 +60,7 @@ class TestClassifierTraining:
         f.weights = [np.zeros_like(w) for w in f.weights]
         f.biases = [np.zeros_like(b) for b in f.biases]
         rng = np.random.default_rng(3)
-        for _ in range(5):
-            assert f.forward(rng.normal(0, 2, 4)) == 0.5
+        assert np.all(f.forward(rng.normal(0, 2, (5, 4))) == 0.5)
 
     def test_selected_architecture_minimizes_cv_loss(self, small_ds):
         grid = ((4,), (8,))
@@ -129,15 +127,15 @@ class TestIndirect:
 
     def test_output_shape(self):
         H = _random_indirect(3, 2, 4)
-        out = H.predict(np.zeros(3), np.zeros(2))
-        assert out.shape == (4,)
+        out = H.predict(np.zeros((1, 3)), np.zeros((1, 2)))
+        assert out.shape == (1, 4)
         assert np.all((out >= 0) & (out <= 1))
 
     def test_passthrough_when_no_indirect(self, small_ds):
         ds = make_dataset(n=30, n_c=2, n_i=0, n_t=2, seed=6)
         H = train_indirect(ds, seed=0, epochs=10)
         assert H.n_indirect == 0
-        assert H.predict(np.zeros(2), np.zeros(2)).shape == (0,)
+        assert H.predict(np.zeros((1, 2)), np.zeros((1, 2))).shape == (1, 0)
         h, jac = H.jacobian_wrt_treatments(np.zeros(2), np.zeros(2))
         assert h.shape == (0,) and jac.shape == (0, 2)
 
@@ -158,15 +156,17 @@ class TestPredictProba:
         f = _random_classifier(2, 1, 2, seed=10, weighted=False)
         H = _random_indirect(2, 2, 1, seed=11)
         x_C, x_T = np.array([0.2, 0.8]), np.array([0.5, 0.4])
-        res = make_aps_result(x_T, [0.5, 0.5], [0.3, 0.3])
-        assert predict_proba(f, H, x_C, x_T, res) == predict_proba(f, H, x_C, x_T)
+        profile = ([0.5, 0.5], [0.3, 0.3])
+        assert (predict_proba(f, H, x_C, x_T, profile)
+                == predict_proba(f, H, x_C, x_T))
 
     def test_weighted_unit_density_equals_raw(self):
         f = _random_classifier(2, 1, 2, seed=12, weighted=True)
         H = _random_indirect(2, 2, 1, seed=13)
         x_C, x_T = np.array([0.3, 0.6]), np.array([0.4, 0.9])
-        res = ApsResult(density=np.ones(2), density_grad=np.zeros(2))
-        weighted_val = predict_proba(f, H, x_C, x_T, res)
+        # centred at x_T with std 1/sqrt(2 pi), the density is exactly 1
+        weighted_val = predict_proba(f, H, x_C, x_T,
+                                     (x_T, np.full(2, 1 / SQRT_2PI)))
         f_raw = MlpClassifier(f.layer_dims, f.weights, f.biases, False,
                               f.n_controls, f.n_indirect, f.n_treatments)
         assert abs(weighted_val - predict_proba(f_raw, H, x_C, x_T)) < 1e-15
@@ -174,7 +174,7 @@ class TestPredictProba:
     def test_weighted_requires_aps(self):
         f = _random_classifier(2, 1, 2, seed=14, weighted=True)
         H = _random_indirect(2, 2, 1, seed=15)
-        with pytest.raises(ValueError, match="ApsResult"):
+        with pytest.raises(ValueError, match="profile"):
             predict_proba(f, H, np.zeros(2), np.zeros(2))
 
 
@@ -200,20 +200,18 @@ class TestGradient:
         means, stds = rng.random(2), rng.uniform(0.15, 0.5, 2)
         for _ in range(25):
             x_C, x_T = rng.random(3), rng.random(2)
-            res = make_aps_result(x_T, means, stds)
             # propensity frozen at the evaluation point
-            _, g_frozen = grad_wrt_treatments(f, H, x_C, x_T, res,
+            density = aps(x_T, means, stds)
+            _, g_frozen = grad_wrt_treatments(f, H, x_C, x_T, (means, stds),
                                               include_aps_chain=False)
             fd_frozen = central_diff(
-                lambda xt: predict_proba(f, H, x_C, xt, res), x_T)
+                lambda xt: classifier_output(f, H, x_C, xt, density), x_T)
             assert np.abs(g_frozen - fd_frozen).max() < 1e-5
             # full chain: density recomputed at each probe point
-            _, g_chain = grad_wrt_treatments(f, H, x_C, x_T, res,
+            _, g_chain = grad_wrt_treatments(f, H, x_C, x_T, (means, stds),
                                              include_aps_chain=True)
             fd_chain = central_diff(
-                lambda xt: predict_proba(f, H, x_C, xt,
-                                         make_aps_result(xt, means, stds)),
-                x_T)
+                lambda xt: predict_proba(f, H, x_C, xt, (means, stds)), x_T)
             assert np.abs(g_chain - fd_chain).max() < 1e-5
 
     def test_zero_network_zero_gradient(self):
@@ -227,9 +225,11 @@ class TestGradient:
     def test_unit_density_chain_flag_irrelevant(self):
         f, H = self._setup(26, weighted=True)
         x_C, x_T = np.full(3, 0.4), np.full(2, 0.6)
-        res = ApsResult(density=np.ones(2), density_grad=np.zeros(2))
-        _, g_off = grad_wrt_treatments(f, H, x_C, x_T, res, include_aps_chain=False)
-        _, g_on = grad_wrt_treatments(f, H, x_C, x_T, res, include_aps_chain=True)
+        unit = (x_T, np.full(2, 1 / SQRT_2PI))  # density 1, gradient 0
+        _, g_off = grad_wrt_treatments(f, H, x_C, x_T, unit,
+                                       include_aps_chain=False)
+        _, g_on = grad_wrt_treatments(f, H, x_C, x_T, unit,
+                                      include_aps_chain=True)
         np.testing.assert_allclose(g_off, g_on, atol=1e-15)
 
 
@@ -270,23 +270,22 @@ class TestWeightedTraining:
                              arch_grid=((4,),), seed=2, epochs=30)
         assert f.weighted
         x_C, x_T = small_ds.controls()[0], small_ds.treatments()[0]
-        means, stds = treatment_profile(gps, x_C)
-        res = make_aps_result(x_T, means, stds)
+        profile = treatment_profile(gps, x_C)
         H = train_indirect(small_ds, seed=0, epochs=20)
-        assert 0.0 < predict_proba(f, H, x_C, x_T, res) < 1.0
+        assert 0.0 < predict_proba(f, H, x_C, x_T, profile) < 1.0
 
 
 class TestSerialization:
     def test_classifier_roundtrip(self):
         f = _random_classifier(2, 1, 2, seed=30, weighted=True)
         back = classifier_from_dict(classifier_to_dict(f))
-        z = np.random.default_rng(31).random(5)
-        assert back.forward(z) == f.forward(z)
+        Z = np.random.default_rng(31).random((3, 5))
+        np.testing.assert_array_equal(back.forward(Z), f.forward(Z))
         assert back.weighted == f.weighted
 
     def test_indirect_roundtrip(self):
         H = _random_indirect(2, 2, 1, seed=32)
         back = indirect_from_dict(indirect_to_dict(H))
-        out1 = H.predict(np.full(2, 0.3), np.full(2, 0.7))
-        out2 = back.predict(np.full(2, 0.3), np.full(2, 0.7))
+        out1 = H.predict(np.full((1, 2), 0.3), np.full((1, 2), 0.7))
+        out2 = back.predict(np.full((1, 2), 0.3), np.full((1, 2), 0.7))
         np.testing.assert_array_equal(out1, out2)

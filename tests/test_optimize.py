@@ -3,13 +3,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from causalinv.gp import KernelConfig, fit_gp, make_aps_result, treatment_profile
-from causalinv.nets import IndirectEstimator, MlpClassifier, predict_proba
+from causalinv.gp import KernelConfig, aps, fit_gp, treatment_profile
+from causalinv.nets import (IndirectEstimator, MlpClassifier, _design,
+                            grad_wrt_treatments, predict_proba)
 from causalinv.optimize import (OptimizationConfig, OptimizationError,
                                 PolicyResult, Variant, _value_and_direction,
-                                cost, objective_value, optimize, project)
+                                cost, optimize, project)
 from tests.conftest import make_schema
-from tests.oracles import central_diff, grid_project
+from tests.oracles import central_diff, classifier_output, grid_project
 from tests.test_nets import _random_classifier, _random_indirect
 
 
@@ -214,8 +215,10 @@ class TestOptimize:
         assert abs(res.x_T_star[0] - 0.3) < 1e-8
         # dense 1-D grid of the true objective over the feasible interval
         grid = np.linspace(0.3, 0.7, 2001)
-        vals = [objective_value([g], np.array([0.4, 0.5]), f, self.H,
-                                self.gps, self.schema, cfg) for g in grid]
+        x_C = np.array([0.4])
+        means, stds = treatment_profile(self.gps, x_C)
+        vals = [_value_and_direction(f, self.H, x_C, np.array([g]), means,
+                                     stds, cfg)[0] for g in grid]
         assert res.objective_trace.min() <= min(vals) + 1e-6
 
     def test_every_iterate_feasible(self):
@@ -277,8 +280,10 @@ class TestOptimize:
         x_bar = np.array([0.45, 0.5])
         res = optimize(x_bar, f, self.H, self.gps, self.schema, cfg)
         grid = np.linspace(0.25, 0.75, 2001)
-        vals = [objective_value([g], x_bar, f, self.H, self.gps, self.schema,
-                                cfg) for g in grid]
+        x_C = x_bar[:1]
+        means, stds = treatment_profile(self.gps, x_C)
+        vals = [_value_and_direction(f, self.H, x_C, np.array([g]), means,
+                                     stds, cfg)[0] for g in grid]
         assert res.objective_trace.min() <= min(vals) + 5e-4
 
 
@@ -298,39 +303,41 @@ class TestObjective:
         cfg_g = OptimizationConfig(budget=1, lam=0.0, variant=Variant.G)
         cfg_fp = OptimizationConfig(budget=1, variant=Variant.FPRIME_OPT)
         x_T = np.array([0.45, 0.55])
-        a = objective_value(x_T, self.x_bar, self.f, self.H, self.gps,
-                            self.schema, cfg_g)
-        b = objective_value(x_T, self.x_bar, self.f, self.H, self.gps,
-                            self.schema, cfg_fp)
+        x_C = self.x_bar[:1]
+        means, stds = treatment_profile(self.gps, x_C)
+        a = _value_and_direction(self.f, self.H, x_C, x_T, means, stds,
+                                 cfg_g)[0]
+        b = _value_and_direction(self.f, self.H, x_C, x_T, means, stds,
+                                 cfg_fp)[0]
         assert a == b
 
     def test_penalty_vanishes_at_assignment_mean(self):
-        means, stds = treatment_profile(self.gps, self.x_bar[:1])
+        x_C = self.x_bar[:1]
+        means, stds = treatment_profile(self.gps, x_C)
         cfg0 = OptimizationConfig(budget=1, lam=0.0, variant=Variant.G)
         cfg5 = OptimizationConfig(budget=1, lam=5.0, variant=Variant.G)
-        a = objective_value(means, self.x_bar, self.f, self.H, self.gps,
-                            self.schema, cfg0)
-        b = objective_value(means, self.x_bar, self.f, self.H, self.gps,
-                            self.schema, cfg5)
+        a = _value_and_direction(self.f, self.H, x_C, means, means, stds,
+                                 cfg0)[0]
+        b = _value_and_direction(self.f, self.H, x_C, means, means, stds,
+                                 cfg5)[0]
         assert abs(a - b) < 1e-14
 
     def test_g_objective_differentiates_to_update_direction(self):
         # the finite-difference gradient of the g objective equals the
         # chain-rule direction plus lambda (x - mean) / variance
-        from causalinv.nets import grad_wrt_treatments
         cfg = OptimizationConfig(budget=1, lam=0.7, variant=Variant.G)
-        means, stds = treatment_profile(self.gps, self.x_bar[:1])
+        x_C = self.x_bar[:1]
+        means, stds = treatment_profile(self.gps, x_C)
         rng = np.random.default_rng(11)
         for _ in range(10):
             x_T = rng.uniform(0.3, 0.7, 2)
-            res = make_aps_result(x_T, means, stds)
-            direction = (grad_wrt_treatments(self.f, self.H, self.x_bar[:1],
-                                             x_T, res, include_aps_chain=True)[1]
+            direction = (grad_wrt_treatments(self.f, self.H, x_C, x_T,
+                                             (means, stds),
+                                             include_aps_chain=True)[1]
                          + 0.7 * (x_T - means) / (stds * stds))
             fd = central_diff(
-                lambda xt: objective_value(xt, self.x_bar, self.f, self.H,
-                                           self.gps, self.schema, cfg,
-                                           profile=(means, stds)), x_T)
+                lambda xt: _value_and_direction(self.f, self.H, x_C, xt, means,
+                                                stds, cfg)[0], x_T)
             assert np.abs(direction - fd).max() < 1e-5
 
 
@@ -360,7 +367,7 @@ class TestDirectionProperties:
         # fprime-noopt holds the propensity at the evaluation point, so its
         # direction is the derivative of the value with the density frozen
         f, H, x_C, x_T, means, stds = prob
-        frozen = make_aps_result(x_T, means, stds)
+        frozen = aps(x_T, means, stds)
         for variant in Variant:
             cfg = OptimizationConfig(budget=1.0, variant=variant,
                                      lam=0.8 * (variant is Variant.G))
@@ -368,7 +375,7 @@ class TestDirectionProperties:
             _, d = _value_and_direction(f_v, H, x_C, x_T, means, stds, cfg)
             if variant is Variant.FPRIME_NOOPT:
                 fd = central_diff(
-                    lambda xt: predict_proba(f_v, H, x_C, xt, frozen), x_T)
+                    lambda xt: classifier_output(f_v, H, x_C, xt, frozen), x_T)
             else:
                 fd = central_diff(
                     lambda xt: _value_and_direction(f_v, H, x_C, xt, means,
@@ -392,6 +399,9 @@ class TestOneEvaluationPerIterate:
                                         variant=v) for v in Variant]
 
     def test_value_is_predict_proba_bit_for_bit(self):
+        # the one-row value equals an independent pass of the matrix paths:
+        # H.predict for the indirect features, then MlpClassifier.forward on
+        # the design row, its treatments weighted by aps() when f is weighted
         x_C = self.x_bar[:2]
         means, stds = treatment_profile(self.gps, x_C)
         rng = np.random.default_rng(14)
@@ -400,11 +410,10 @@ class TestOneEvaluationPerIterate:
             for x_T in rng.uniform(0.0, 1.0, (20, 2)):
                 val, _ = _value_and_direction(f, self.H, x_C, x_T, means, stds,
                                               cfg)
-                if cfg.variant is Variant.NON_CAUSAL_F:
-                    ref = predict_proba(f, self.H, x_C, x_T)
-                else:
-                    ref = predict_proba(f, self.H, x_C, x_T,
-                                        make_aps_result(x_T, means, stds))
+                density = aps(x_T, means, stds) if f.weighted else None
+                h = self.H.predict(x_C[None], x_T[None])[0]
+                ref = f.forward(_design(x_C, h, x_T, density)[None])[0]
+                assert predict_proba(f, self.H, x_C, x_T, (means, stds)) == ref
                 if cfg.variant is Variant.G:
                     ref += cfg.lam * float(np.sum((x_T - means) ** 2
                                                   / (2.0 * stds * stds)))
@@ -425,7 +434,6 @@ class TestOneEvaluationPerIterate:
             raise AssertionError("a second evaluation of an iterate")
 
         monkeypatch.setattr(opt_mod, "grad_wrt_treatments", counted)
-        monkeypatch.setattr(opt_mod, "objective_value", forbidden)
         monkeypatch.setattr(nets, "predict_proba", forbidden)
         for cfg in self.cfgs:
             passes.clear()

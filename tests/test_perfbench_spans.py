@@ -19,7 +19,7 @@ import pytest
 from causalinv.cli import build_parser, cmd_evaluate
 from causalinv.experiment import (TrainSettings, fit_side_models, ifee,
                                   run_experiment)
-from causalinv.gp import make_aps_result, treatment_profile
+from causalinv.gp import treatment_profile
 from causalinv.nets import predict_proba
 from tests.conftest import make_dataset
 
@@ -102,11 +102,9 @@ def test_ifee_scores_one_row(tiny):
     eff = ifee(side.f_weighted, side.H, side.gps, schema, x_bar, x_star,
                weighted=True)
     x_C, x_bar_T = tiny.controls()[0], tiny.treatments()[0]
-    means, stds = treatment_profile(side.gps, x_C)
-    before = predict_proba(side.f_weighted, side.H, x_C, x_bar_T,
-                           make_aps_result(x_bar_T, means, stds))
-    after = predict_proba(side.f_weighted, side.H, x_C, x_star,
-                          make_aps_result(x_star, means, stds))
+    profile = treatment_profile(side.gps, x_C)
+    before = predict_proba(side.f_weighted, side.H, x_C, x_bar_T, profile)
+    after = predict_proba(side.f_weighted, side.H, x_C, x_star, profile)
     assert isinstance(eff, float) and abs(eff - (before - after)) < 1e-12
 
 
