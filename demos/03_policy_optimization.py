@@ -9,8 +9,6 @@ they know about the propensity surface.
 Run from the repository root:  python demos/03_policy_optimization.py
 """
 
-import numpy as np
-
 import causalinv as ci
 from causalinv.experiment import TrainSettings, fit_side_models
 from causalinv.optimize import OptimizationConfig, Variant

@@ -216,10 +216,11 @@ def cmd_evaluate(args) -> int:
     variants = [Variant(v) for v in (_split_list(args.variant, str)
                                      or [v.value for v in Variant])]
     seed = _seed_from(args)
+    settings = _settings_from(args)
     ds = _load_normalized(args)
     report = run_experiment(ds, budgets=budgets, lambdas=lams,
                             variants=variants, seed=seed,
-                            settings=_settings_from(args), step=args.step,
+                            settings=settings, step=args.step,
                             max_iters=args.max_iters, jobs=args.jobs)
     os.makedirs(args.out, exist_ok=True)
     write_report(report, os.path.join(args.out, "report.json"))

@@ -43,6 +43,25 @@ class TrainSettings:
     batch: int = DEFAULT_BATCH
     gp_restarts: int = 5
 
+    def __post_init__(self):
+        """Reject, before anything is fitted, a value that would train
+        nothing, train on NaN or fail after the GP fits. Each message names
+        the command-line flag that sets the value."""
+        for flag, value, least in (("--folds", self.folds, 2),
+                                   ("--epochs", self.epochs, 1),
+                                   ("--batch", self.batch, 1),
+                                   ("--gp-restarts", self.gp_restarts, 0)):
+            if value < least:
+                raise ValueError(f"{flag} must be at least {least}, got {value}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"--lr must be positive and finite, got {self.lr}")
+        if not self.arch_grid:
+            raise ValueError("--arch: the architecture grid must not be empty")
+        for arch in self.arch_grid:
+            if any(width < 1 for width in arch):
+                raise ValueError(f"--arch widths must be at least 1, got "
+                                 f"{'x'.join(str(w) for w in arch)}")
+
 
 @dataclass(frozen=True)
 class SideModels:

@@ -14,6 +14,9 @@ from one pass of each.
 Both networks are plain numpy: tanh hidden layers, seeded initialization,
 mini-batch gradient descent. Architecture selection for the classifier is by
 k-fold cross-validated log-loss over a small grid, then a retrain on all rows.
+One gradient-descent loop trains every network; it advances a stack of
+same-shaped networks in lockstep, which lets the folds of one architecture
+train together with the same weights each would get alone.
 """
 
 from __future__ import annotations
@@ -34,49 +37,61 @@ IND_FORMAT = "causalinv-indirect-1"
 
 
 def _init_layers(dims, rng):
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        weights.append(rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return weights, biases
+    return [rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_out, fan_in))
+            for fan_in, fan_out in zip(dims[:-1], dims[1:])]
 
 
 def _forward_tanh(X, weights, biases):
-    """Hidden activations (tanh) plus the final pre-activation."""
+    """Hidden activations (tanh) plus the final pre-activation, of one
+    network (2-D weights, rows of ``X``) or of a stack of networks (weights
+    (F, out, in), ``X`` (F, rows, in))."""
     acts = [X]
     a = X
     for W, b in zip(weights[:-1], biases[:-1]):
-        a = np.tanh(a @ W.T + b)
+        a = np.tanh(a @ W.swapaxes(-1, -2) + b)
         acts.append(a)
-    z_out = a @ weights[-1].T + biases[-1]
+    z_out = a @ weights[-1].swapaxes(-1, -2) + biases[-1]
     return acts, z_out
 
 
-def _sgd_train(X, Y, dims, seed, epochs, lr, batch, loss):
-    """Mini-batch gradient descent; ``loss`` is 'bce' or 'mse'."""
-    rng = np.random.default_rng(seed)
-    weights, biases = _init_layers(dims, rng)
-    n = X.shape[0]
+def _sgd_train(X, Y, dims, seeds, epochs, lr, batch, loss):
+    """Mini-batch gradient descent of F networks of one shape in lockstep;
+    ``loss`` is 'bce' or 'mse'.
+
+    Run f fits ``X[f]`` (n, p) to ``Y[f]`` (n, out) from its own generator
+    seeded with ``seeds[f]``, which draws the initial weights and then one
+    permutation per epoch. The runs share every numpy call but none of their
+    arithmetic, so each gets the weights it gets when trained alone. Returns
+    ``(weights, biases)`` per run.
+    """
+    rngs = [np.random.default_rng(s) for s in seeds]
+    weights = [np.stack(ws) for ws in zip(*(_init_layers(dims, rng)
+                                            for rng in rngs))]
+    biases = [np.zeros((len(rngs), 1, fan_out)) for fan_out in dims[1:]]
+    runs = np.arange(len(rngs))[:, None]
+    n = X.shape[1]
     n_out = dims[-1]
     for _ in range(epochs):
-        perm = rng.permutation(n)
+        perm = np.stack([rng.permutation(n) for rng in rngs])
+        X_ep, Y_ep = X[runs, perm], Y[runs, perm]
         for s in range(0, n, batch):
-            idx = perm[s:s + batch]
-            xb, yb = X[idx], Y[idx]
+            xb, yb = X_ep[:, s:s + batch], Y_ep[:, s:s + batch]
+            m = xb.shape[1]
             acts, z_out = _forward_tanh(xb, weights, biases)
             if loss == "bce":
                 p = 1.0 / (1.0 + np.exp(-z_out))
-                delta = (p - yb) / len(idx)
+                delta = (p - yb) / m
             else:
-                delta = 2.0 * (z_out - yb) / (len(idx) * n_out)
+                delta = 2.0 * (z_out - yb) / (m * n_out)
             for li in range(len(weights) - 1, -1, -1):
-                gW = delta.T @ acts[li]
-                gb = delta.sum(axis=0)
+                gW = delta.swapaxes(-1, -2) @ acts[li]
+                gb = delta.sum(axis=1, keepdims=True)
                 if li > 0:
                     delta = (delta @ weights[li]) * (1.0 - acts[li] ** 2)
                 weights[li] -= lr * gW
                 biases[li] -= lr * gb
-    return weights, biases
+    return [([W[f] for W in weights], [b[f, 0] for b in biases])
+            for f in range(len(rngs))]
 
 
 def _log_loss(p, y):
@@ -195,24 +210,31 @@ def train_classifier(ds, weighted: bool, gps=None, folds: int = 5,
     n, p = Z.shape
 
     fold_ids = np.array_split(np.random.default_rng(seed).permutation(n), folds)
+    train_ids = [np.delete(np.arange(n), test_idx) for test_idx in fold_ids]
+    # folds with equally long training sets train as one stack; padding a
+    # shorter one would change the length of its mini-batch sums
+    stacks = {}
+    for fi, idx in enumerate(train_ids):
+        stacks.setdefault(len(idx), []).append(fi)
     cv_losses = []
     for ai, arch in enumerate(arch_grid):
         dims = (p, *arch, 1)
-        losses = []
-        for fi, test_idx in enumerate(fold_ids):
-            train_mask = np.ones(n, dtype=bool)
-            train_mask[test_idx] = False
-            w, b = _sgd_train(Z[train_mask], y[train_mask][:, None], dims,
-                              seed=[seed, ai, fi],
+        losses = [None] * folds
+        for stack in stacks.values():
+            idx = np.stack([train_ids[fi] for fi in stack])
+            runs = _sgd_train(Z[idx], y[idx][..., None], dims,
+                              seeds=[[seed, ai, fi] for fi in stack],
                               epochs=epochs, lr=lr, batch=batch, loss="bce")
-            net = MlpClassifier(dims, w, b, weighted, 0, 0, 0)
-            losses.append(_log_loss(net.forward(Z[test_idx]), y[test_idx]))
+            for fi, (w, b) in zip(stack, runs):
+                net = MlpClassifier(dims, w, b, weighted, 0, 0, 0)
+                losses[fi] = _log_loss(net.forward(Z[fold_ids[fi]]),
+                                       y[fold_ids[fi]])
         cv_losses.append(float(np.mean(losses)))
 
     best = int(np.argmin(cv_losses))
     dims = (p, *arch_grid[best], 1)
-    w, b = _sgd_train(Z, y[:, None], dims, seed=[seed, 7919],
-                      epochs=epochs, lr=lr, batch=batch, loss="bce")
+    [(w, b)] = _sgd_train(Z[None], y[None, :, None], dims, seeds=[[seed, 7919]],
+                          epochs=epochs, lr=lr, batch=batch, loss="bce")
     meta = {
         "arch": list(arch_grid[best]),
         "cv_loss": cv_losses[best],
@@ -241,8 +263,8 @@ def train_indirect(ds, seed: int = 0, epochs: int = DEFAULT_EPOCHS,
     Z = np.concatenate([ds.controls(), ds.treatments()], axis=1)
     Y = ds.indirects()
     dims = (n_c + n_t, 2 * (n_c + n_t), n_i)
-    w, b = _sgd_train(Z, Y, dims, seed=seed, epochs=epochs, lr=lr, batch=batch,
-                      loss="mse")
+    [(w, b)] = _sgd_train(Z[None], Y[None], dims, seeds=[seed], epochs=epochs,
+                          lr=lr, batch=batch, loss="mse")
     return IndirectEstimator(weights=w, biases=b, n_controls=n_c,
                              n_treatments=n_t, n_indirect=n_i,
                              training_meta={"epochs": epochs, "lr": lr,

@@ -88,6 +88,38 @@ def classifier_output(f, H, x_C, x_T, density=None):
     return float(1.0 / (1.0 + np.exp(-z[0])))
 
 
+def sgd_one_run(X, Y, dims, seed, epochs, lr, batch, loss):
+    """One network trained alone by mini-batch gradient descent, ``loss``
+    'bce' (sigmoid output) or 'mse': the generator seeded with ``seed``
+    draws each layer's weights N(0, 1/fan_in) (biases start at zero), then
+    one permutation of the rows per epoch. Returns (weights, biases)."""
+    rng = np.random.default_rng(seed)
+    weights = [rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_out, fan_in))
+               for fan_in, fan_out in zip(dims[:-1], dims[1:])]
+    biases = [np.zeros(fan_out) for fan_out in dims[1:]]
+    n = X.shape[0]
+    for _ in range(epochs):
+        perm = rng.permutation(n)
+        for start in range(0, n, batch):
+            rows = perm[start:start + batch]
+            acts = [X[rows]]
+            for W, b in zip(weights[:-1], biases[:-1]):
+                acts.append(np.tanh(acts[-1] @ W.T + b))
+            z = acts[-1] @ weights[-1].T + biases[-1]
+            if loss == "bce":
+                delta = (1.0 / (1.0 + np.exp(-z)) - Y[rows]) / len(rows)
+            else:
+                delta = 2.0 * (z - Y[rows]) / (len(rows) * dims[-1])
+            for layer in reversed(range(len(weights))):
+                grad_W = delta.T @ acts[layer]
+                grad_b = delta.sum(axis=0)
+                if layer:
+                    delta = (delta @ weights[layer]) * (1.0 - acts[layer] ** 2)
+                weights[layer] -= lr * grad_W
+                biases[layer] -= lr * grad_b
+    return weights, biases
+
+
 def central_diff(fn, x, h=1e-5):
     """Central finite-difference gradient of a scalar function."""
     x = np.asarray(x, dtype=np.float64)

@@ -27,6 +27,38 @@ def _train(corpus, out, seed="3"):
                  "--out", str(out), "--seed", seed] + FAST)
 
 
+BAD_TRAINING = [
+    (["--folds", "1"], "--folds must be at least 2, got 1"),
+    (["--epochs", "-1"], "--epochs must be at least 1, got -1"),
+    (["--batch", "0"], "--batch must be at least 1, got 0"),
+    (["--lr", "nan"], "--lr must be positive and finite, got nan"),
+    (["--lr", "0"], "--lr must be positive and finite, got 0.0"),
+    (["--gp-restarts", "-2"], "--gp-restarts must be at least 0, got -2"),
+    (["--arch", "0"], "--arch widths must be at least 1, got 0"),
+    (["--arch", "16", "--arch", "8x0"], "--arch widths must be at least 1, got 8x0"),
+]
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+@pytest.mark.parametrize("flags, message", BAD_TRAINING)
+def test_bad_training_setting_exit_2_before_fitting(corpus, tmp_path,
+                                                    monkeypatch, capsys,
+                                                    command, flags, message):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit_side_models called")
+
+    monkeypatch.setattr("causalinv.cli.fit_side_models", no_fit)
+    monkeypatch.setattr("causalinv.experiment.fit_side_models", no_fit)
+    csv_path, schema_path = corpus
+    out = tmp_path / "bad"
+    sweep = ["--budget", "0"] if command == "evaluate" else []
+    code = main([command, "--data", csv_path, "--schema", schema_path,
+                 "--out", str(out)] + sweep + flags)
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestTrain:
     def test_writes_manifest_and_models(self, corpus, tmp_path):
         assert _train(corpus, tmp_path / "run") == 0

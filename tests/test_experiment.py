@@ -148,6 +148,12 @@ SMALL_SETTINGS = TrainSettings(folds=2, arch_grid=((4,),), epochs=25,
                                gp_restarts=1)
 
 
+def test_empty_arch_grid_rejected():
+    # the CLI cannot pass an empty grid: no --arch means the default grid
+    with pytest.raises(ValueError, match="architecture grid must not be empty"):
+        TrainSettings(arch_grid=())
+
+
 @pytest.fixture(scope="module")
 def tiny_ds():
     return make_dataset(n=36, n_c=2, n_i=1, n_t=2, seed=17)

@@ -4,12 +4,12 @@ import pytest
 from causalinv.data import Dataset
 from causalinv.gp import SQRT_2PI, KernelConfig, aps, fit_gp, treatment_profile
 from causalinv.nets import (IndirectEstimator, MlpClassifier, _design,
-                            classifier_from_dict, classifier_to_dict,
+                            _sgd_train, classifier_from_dict, classifier_to_dict,
                             grad_wrt_treatments, indirect_from_dict,
                             indirect_to_dict, predict_proba, train_classifier,
                             train_indirect)
 from tests.conftest import make_dataset, make_schema
-from tests.oracles import central_diff, classifier_output
+from tests.oracles import central_diff, classifier_output, sgd_one_run
 
 
 def _random_classifier(n_c, n_i, n_t, seed=0, weighted=False, hidden=(8,)):
@@ -93,6 +93,57 @@ class TestClassifierTraining:
         f2 = train_classifier(small_ds, **kw)
         for w1, w2 in zip(f1.weights, f2.weights):
             np.testing.assert_array_equal(w1, w2)
+
+
+class TestLockstepTraining:
+    """A stack of SGD runs gives each run the weights it gets alone."""
+
+    @pytest.mark.parametrize("loss", ["bce", "mse"])
+    @pytest.mark.parametrize("hidden", [(6,), (5, 4)])
+    def test_stack_matches_runs_alone(self, loss, hidden):
+        rng = np.random.default_rng(4)
+        n_runs, n, p, n_out = 3, 23, 4, (1 if loss == "bce" else 2)
+        X = rng.normal(size=(n_runs, n, p))
+        Y = (rng.random((n_runs, n, n_out)) < 0.5).astype(np.float64)
+        dims = (p, *hidden, n_out)
+        seeds = [[7, r] for r in range(n_runs)]
+        # batch 8 over 23 rows leaves a partial last batch of 7
+        kw = dict(epochs=6, lr=0.1, batch=8, loss=loss)
+        runs = _sgd_train(X, Y, dims, seeds=seeds, **kw)
+        assert len(runs) == n_runs
+        for r, (w, b) in enumerate(runs):
+            w_ref, b_ref = sgd_one_run(X[r], Y[r], dims, seeds[r], **kw)
+            for got, ref in zip(w + b, w_ref + b_ref):
+                assert got.shape == ref.shape
+                np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("hidden", [(4,), (4, 3)])
+    def test_cv_losses_match_folds_trained_alone(self, hidden):
+        # 59 rows in 5 folds: training sets of 47 and 48 rows, two stacks
+        ds = make_dataset(n=59, seed=8)
+        seed, folds, kw = 3, 5, dict(epochs=15, lr=0.05, batch=10)
+        f = train_classifier(ds, weighted=False, folds=folds,
+                             arch_grid=(hidden,), seed=seed, **kw)
+        Z = np.concatenate([ds.controls(), ds.indirects(), ds.treatments()],
+                           axis=1)
+        y = ds.y.astype(np.float64)
+        fold_ids = np.array_split(
+            np.random.default_rng(seed).permutation(ds.n), folds)
+        assert {ds.n - len(t) for t in fold_ids} == {47, 48}
+        losses = []
+        for fi, test in enumerate(fold_ids):
+            train = np.setdiff1d(np.arange(ds.n), test)
+            w, b = sgd_one_run(Z[train], y[train, None], (Z.shape[1], *hidden, 1),
+                               [seed, 0, fi], loss="bce", **kw)
+            a = Z[test]
+            for W, c in zip(w[:-1], b[:-1]):
+                a = np.tanh(a @ W.T + c)
+            prob = np.clip(1.0 / (1.0 + np.exp(-(a @ w[-1].T + b[-1])[:, 0])),
+                           1e-12, 1.0 - 1e-12)
+            losses.append(float(-np.mean(y[test] * np.log(prob)
+                                         + (1.0 - y[test]) * np.log(1.0 - prob))))
+        assert f.training_meta["cv_losses"] == {str(list(hidden)):
+                                                float(np.mean(losses))}
 
 
 class TestIndirect:

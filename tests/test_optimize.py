@@ -7,8 +7,8 @@ from causalinv.gp import KernelConfig, aps, fit_gp, treatment_profile
 from causalinv.nets import (IndirectEstimator, MlpClassifier, _design,
                             grad_wrt_treatments, predict_proba)
 from causalinv.optimize import (OptimizationConfig, OptimizationError,
-                                PolicyResult, Variant, _value_and_direction,
-                                cost, optimize, project)
+                                Variant, _value_and_direction, cost, optimize,
+                                project)
 from tests.conftest import make_schema
 from tests.oracles import central_diff, classifier_output, grid_project
 from tests.test_nets import _random_classifier, _random_indirect
