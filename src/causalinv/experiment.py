@@ -57,10 +57,14 @@ class TrainSettings:
             raise ValueError(f"--lr must be positive and finite, got {self.lr}")
         if not self.arch_grid:
             raise ValueError("--arch: the architecture grid must not be empty")
-        for arch in self.arch_grid:
+        seen = set()
+        for arch in map(tuple, self.arch_grid):
+            name = "x".join(str(w) for w in arch)
             if any(width < 1 for width in arch):
-                raise ValueError(f"--arch widths must be at least 1, got "
-                                 f"{'x'.join(str(w) for w in arch)}")
+                raise ValueError(f"--arch widths must be at least 1, got {name}")
+            if arch in seen:
+                raise ValueError(f"--arch {name} is given more than once")
+            seen.add(arch)
 
 
 @dataclass(frozen=True)
@@ -110,9 +114,18 @@ def _derive_seed(*parts) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
+def _check_folds(settings: TrainSettings, *halves: Dataset) -> None:
+    """Reject, before any fit, more folds than a training half has rows."""
+    n = min(half.n for half in halves)
+    if settings.folds > n:
+        raise ValueError(f"--folds must be at most {n}, the rows of a "
+                         f"training half, got {settings.folds}")
+
+
 def fit_side_models(half: Dataset, seed: int,
                     settings: TrainSettings = TrainSettings()) -> SideModels:
     """Fit GPs, both classifiers and the indirect estimator on one half."""
+    _check_folds(settings, half)
     Xc = half.controls()
     Xt = half.treatments()
     gps = tuple(
@@ -232,6 +245,7 @@ def run_experiment(ds: Dataset, budgets, lambdas, variants, seed: int,
     cells = _cell_grid(variants, budgets, lambdas, step, max_iters)
 
     opt_half, val_half = split_half(ds, seed)
+    _check_folds(settings, opt_half, val_half)
     opt_models = fit_side_models(opt_half, _derive_seed(seed, 1), settings)
     val_models = fit_side_models(val_half, _derive_seed(seed, 2), settings)
 

@@ -84,10 +84,18 @@ def _sqdist(A, B):
 
 
 def _chol_with_jitter(K):
-    """Cholesky of K, escalating an added diagonal jitter on failure."""
+    """Cholesky of K, escalating an added diagonal jitter on failure.
+
+    K is factored as given first (jitter 0); only a failure copies it to add
+    the jitter on the diagonal.
+    """
     for jit in JITTERS:
+        Kj = K
+        if jit:
+            Kj = K.copy()
+            Kj.ravel()[::K.shape[0] + 1] += jit
         try:
-            return np.linalg.cholesky(K + jit * np.eye(K.shape[0])), jit
+            return np.linalg.cholesky(Kj), jit
         except np.linalg.LinAlgError:
             continue
     raise np.linalg.LinAlgError(
@@ -98,20 +106,24 @@ def _tril_inv(L):
     """Inverse of a lower-triangular matrix by 2x2 block recursion.
 
     With L = [[A, 0], [C, D]], L^-1 = [[A^-1, 0], [-D^-1 C A^-1, D^-1]]: all
-    the work above the leaves is matrix products. The upper triangle of the
-    result is exactly zero.
+    the work above the leaves is matrix products. Every block is written in
+    place into one zeroed result, so the upper triangle is exactly zero.
     """
+    out = np.zeros_like(L)
+    _tril_inv_into(L, out)
+    return out
+
+
+def _tril_inv_into(L, out):
+    """Write the inverse of lower-triangular ``L`` into the zeroed ``out``."""
     n = L.shape[0]
     if n <= TRIL_INV_LEAF:
-        return np.tril(np.linalg.inv(L))
+        out[...] = np.tril(np.linalg.inv(L))
+        return
     h = n // 2
-    A_inv = _tril_inv(L[:h, :h])
-    D_inv = _tril_inv(L[h:, h:])
-    out = np.zeros_like(L)
-    out[:h, :h] = A_inv
-    out[h:, h:] = D_inv
-    out[h:, :h] = -D_inv @ (L[h:, :h] @ A_inv)
-    return out
+    _tril_inv_into(L[:h, :h], out[:h, :h])
+    _tril_inv_into(L[h:, h:], out[h:, h:])
+    out[h:, :h] = -out[h:, h:] @ (L[h:, :h] @ out[:h, :h])
 
 
 def _factorize(controls, resid, ls, sv, nv, sqd=None):
@@ -125,8 +137,15 @@ def _factorize(controls, resid, ls, sv, nv, sqd=None):
     m = controls.shape[0]
     if sqd is None:
         sqd = _sqdist(controls, controls)
-    K = sv * np.exp(-0.5 * sqd / (ls * ls))
-    L, jit = _chol_with_jitter(K + nv * np.eye(m))
+    # the operations of sv * exp(-0.5 * sqd / ls^2) + nv I, in their order,
+    # with one n x n array for K and one for its noisy copy
+    K = -0.5 * sqd
+    K /= ls * ls
+    np.exp(K, out=K)
+    K *= sv
+    Kn = K.copy()
+    Kn.ravel()[::m + 1] += nv
+    L, jit = _chol_with_jitter(Kn)
     L_inv = _tril_inv(L)
     alpha = L_inv.T @ (L_inv @ resid)
     lml = (-0.5 * float(resid @ alpha)
@@ -145,10 +164,15 @@ def _lml_and_grad(controls, resid, log_theta, sqd):
     K_inv = L_inv.T @ L_inv
     # d lml / d theta_j = 0.5 tr((alpha alpha^T - K^-1) dK/dtheta_j)
     #                   = 0.5 (alpha^T dK_j alpha - sum(K^-1 * dK_j)),
-    # in log-parameter coordinates (GPML Eq. 5.9)
-    KS = K * (sqd / (ls * ls))
-    g_ls = 0.5 * (float(alpha @ KS @ alpha) - float(np.sum(K_inv * KS)))
-    g_sv = 0.5 * (float(alpha @ K @ alpha) - float(np.sum(K_inv * K)))
+    # in log-parameter coordinates (GPML Eq. 5.9); one scratch array holds
+    # dK/d log ls = K * sqd / ls^2 and then each elementwise product
+    work = np.divide(sqd, ls * ls)
+    np.multiply(K, work, out=work)
+    a_KS_a = float(alpha @ work @ alpha)
+    tr_KS = float(np.sum(np.multiply(K_inv, work, out=work)))
+    g_ls = 0.5 * (a_KS_a - tr_KS)
+    g_sv = 0.5 * (float(alpha @ K @ alpha)
+                  - float(np.sum(np.multiply(K_inv, K, out=work))))
     g_nv = 0.5 * nv * (float(alpha @ alpha) - float(np.trace(K_inv)))
     return lml, np.array([g_ls, g_sv, g_nv])
 
@@ -171,7 +195,10 @@ def _ascend(controls, resid, theta0, sqd, steps, bounds):
         vh = v_t / (1.0 - 0.999 ** it)
         theta = theta + ASCENT_LR * mh / (np.sqrt(vh) + 1e-8)
         theta = np.clip(theta, bounds[:, 0], bounds[:, 1])
-    lml, _ = _lml_and_grad(controls, resid, theta, sqd)
+    try:  # the closing iterate needs only its value
+        lml = _factorize(controls, resid, *np.exp(theta), sqd)[3]
+    except np.linalg.LinAlgError:
+        lml = -np.inf
     if lml > best_lml:
         best_lml, best_theta = lml, theta.copy()
     return best_lml, best_theta

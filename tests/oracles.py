@@ -4,10 +4,14 @@ These deliberately avoid the library's own code paths: the projection oracle
 scans a dense feasible grid, the GP oracle solves the dense linear system
 without a Cholesky factorization, the classifier oracle runs the networks
 from their weight arrays, and the finite-difference helpers probe functions
-numerically.
+numerically. The ``ref_*`` GP functions are the marginal-likelihood
+evaluation written with a fresh array for every intermediate; the library's
+in-place version must reproduce them bit for bit.
 """
 
 import numpy as np
+
+from causalinv.gp import JITTERS, TRIL_INV_LEAF
 
 
 def grid_project(v, x_bar, c_up, c_down, B, l, u, n_grid=200):
@@ -130,3 +134,60 @@ def central_diff(fn, x, h=1e-5):
         xm[j] -= h
         g[j] = (fn(xp) - fn(xm)) / (2 * h)
     return g
+
+
+def ref_chol_with_jitter(K):
+    """Cholesky of K, escalating an added diagonal jitter on failure."""
+    for jit in JITTERS:
+        try:
+            return np.linalg.cholesky(K + jit * np.eye(K.shape[0])), jit
+        except np.linalg.LinAlgError:
+            continue
+    raise np.linalg.LinAlgError(
+        "Cholesky factorization failed even with jitter 1e-4")
+
+
+def ref_tril_inv(L):
+    """Inverse of a lower-triangular matrix by 2x2 block recursion, each
+    node assembling its result in a fresh zeroed array."""
+    n = L.shape[0]
+    if n <= TRIL_INV_LEAF:
+        return np.tril(np.linalg.inv(L))
+    h = n // 2
+    A_inv = ref_tril_inv(L[:h, :h])
+    D_inv = ref_tril_inv(L[h:, h:])
+    out = np.zeros_like(L)
+    out[:h, :h] = A_inv
+    out[h:, h:] = D_inv
+    out[h:, :h] = -D_inv @ (L[h:, :h] @ A_inv)
+    return out
+
+
+def ref_factorize(resid, ls, sv, nv, sqd):
+    """Kernel matrix, inverse Cholesky factor, alpha, log marginal likelihood
+    and jitter (GPML Algorithm 2.1) from the squared distances ``sqd``."""
+    m = sqd.shape[0]
+    K = sv * np.exp(-0.5 * sqd / (ls * ls))
+    L, jit = ref_chol_with_jitter(K + nv * np.eye(m))
+    L_inv = ref_tril_inv(L)
+    alpha = L_inv.T @ (L_inv @ resid)
+    lml = (-0.5 * float(resid @ alpha)
+           - float(np.sum(np.log(np.diag(L))))
+           - 0.5 * m * np.log(2.0 * np.pi))
+    return K, L_inv, alpha, lml, jit
+
+
+def ref_lml_and_grad(resid, log_theta, sqd):
+    """Log marginal likelihood and its gradient in (log ls, log sv, log nv)
+    (GPML Eq. 5.9)."""
+    ls, sv, nv = np.exp(log_theta)
+    try:
+        K, L_inv, alpha, lml, _ = ref_factorize(resid, ls, sv, nv, sqd)
+    except np.linalg.LinAlgError:
+        return -np.inf, np.zeros(3)
+    K_inv = L_inv.T @ L_inv
+    KS = K * (sqd / (ls * ls))
+    g_ls = 0.5 * (float(alpha @ KS @ alpha) - float(np.sum(K_inv * KS)))
+    g_sv = 0.5 * (float(alpha @ K @ alpha) - float(np.sum(K_inv * K)))
+    g_nv = 0.5 * nv * (float(alpha @ alpha) - float(np.trace(K_inv)))
+    return lml, np.array([g_ls, g_sv, g_nv])

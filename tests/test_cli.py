@@ -36,6 +36,7 @@ BAD_TRAINING = [
     (["--gp-restarts", "-2"], "--gp-restarts must be at least 0, got -2"),
     (["--arch", "0"], "--arch widths must be at least 1, got 0"),
     (["--arch", "16", "--arch", "8x0"], "--arch widths must be at least 1, got 8x0"),
+    (["--arch", "4", "--arch", "8,4"], "--arch 4 is given more than once"),
 ]
 
 
@@ -56,6 +57,25 @@ def test_bad_training_setting_exit_2_before_fitting(corpus, tmp_path,
                  "--out", str(out)] + sweep + flags)
     assert code == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_folds_above_half_rows_exit_2_before_gp_fits(corpus, tmp_path,
+                                                    monkeypatch, capsys,
+                                                    command):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit_gp called")
+
+    monkeypatch.setattr("causalinv.experiment.fit_gp", no_fit)
+    csv_path, schema_path = corpus
+    out = tmp_path / "folds"
+    sweep = ["--budget", "0"] if command == "evaluate" else []
+    code = main([command, "--data", csv_path, "--schema", schema_path,
+                 "--out", str(out), "--folds", "400"] + sweep)
+    assert code == 2
+    assert ("--folds must be at most 40, the rows of a training half, "
+            "got 400") in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -152,6 +153,20 @@ def test_empty_arch_grid_rejected():
     # the CLI cannot pass an empty grid: no --arch means the default grid
     with pytest.raises(ValueError, match="architecture grid must not be empty"):
         TrainSettings(arch_grid=())
+
+
+def test_folds_checked_against_both_halves_before_fitting(monkeypatch):
+    # 37 rows split 19/18: 19 folds fit the first half, not the second
+    import causalinv.experiment as experiment
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit_gp called")
+
+    monkeypatch.setattr(experiment, "fit_gp", no_fit)
+    with pytest.raises(ValueError, match="--folds must be at most 18"):
+        run_experiment(make_dataset(n=37), budgets=[0.0], lambdas=[0.0],
+                       variants=["f"], seed=1,
+                       settings=replace(SMALL_SETTINGS, folds=19))
 
 
 @pytest.fixture(scope="module")

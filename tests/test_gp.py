@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from causalinv.gp import (KernelConfig, _lml_and_grad, _sqdist, _tril_inv,
-                          aps, fit_gp, gp_from_dict, gp_to_dict,
+from causalinv.gp import (KernelConfig, _factorize, _lml_and_grad, _sqdist,
+                          _tril_inv, aps, fit_gp, gp_from_dict, gp_to_dict,
                           make_aps_result, predict_batch, treatment_profile)
-from tests.oracles import central_diff, dense_gp_predict, dense_log_marginal
+from tests.oracles import (central_diff, dense_gp_predict, dense_log_marginal,
+                           ref_factorize, ref_lml_and_grad)
 
 
 def _toy_gp(m=25, d=3, seed=0, noise=0.01, optimize=False, ls=0.8, sv=1.0):
@@ -194,6 +195,52 @@ class TestLogMarginalGradient:
         # is largest at the ill-conditioned corner
         fd = central_diff(oracle, log_theta, h=1e-4)
         np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-6)
+
+
+def _assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+class TestBitIdenticalToReference:
+    """The in-place marginal-likelihood evaluation performs the reference's
+    operations in the reference's order, so every output has its bits."""
+
+    @staticmethod
+    def _check(X, resid, ls, sv, nv):
+        sqd = _sqdist(X, X)
+        ref = ref_factorize(resid, ls, sv, nv, sqd)
+        got = _factorize(X, resid, ls, sv, nv, sqd)
+        for a, b in zip(got, ref):  # K, L_inv, alpha, lml, jitter
+            _assert_same_bits(a, b)
+        with np.errstate(divide="ignore"):  # nv = 0 has log -inf
+            log_theta = np.log([ls, sv, nv])
+        lml, grad = _lml_and_grad(X, resid, log_theta, sqd)
+        lml_ref, grad_ref = ref_lml_and_grad(resid, log_theta, sqd)
+        _assert_same_bits(lml, lml_ref)
+        _assert_same_bits(grad, grad_ref)
+        return ref[4]
+
+    @pytest.mark.parametrize("m", [1, 2, 33, 80, 325])
+    @pytest.mark.parametrize("theta", ["interior", "short", "corner"])
+    def test_lml_gradient_factor_alpha_and_jitter(self, m, theta):
+        rng = np.random.default_rng(100 + m)
+        X = rng.random((m, 3))
+        t = np.sin(3 * X[:, 0]) + 0.5 * X[:, 1] + rng.normal(0, 0.1, m)
+        ls, sv, nv = {"interior": (0.6, 0.4, 0.02),
+                      "short": (0.12, 1.5, 0.3),
+                      "corner": (_bound_corner(X, t) if m > 1
+                                 else (50.0, 30.0, 0.05))}[theta]
+        self._check(X, t - np.mean(t), ls, sv, nv)
+
+    def test_jittered_factor(self):
+        # every row twice and no noise: K is singular, so only an added
+        # jitter lets the factorization through
+        rng = np.random.default_rng(7)
+        X = np.repeat(rng.random((40, 3)), 2, axis=0)
+        t = X[:, 0] + rng.normal(0, 0.1, 80)
+        assert self._check(X, t - np.mean(t), 0.8, 1.0, 0.0) > 0.0
 
 
 class TestTriangularInverse:
