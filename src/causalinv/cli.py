@@ -139,6 +139,8 @@ def cmd_optimize(args) -> int:
     budget = _one_value(args.budget, float, "--budget")
     lam = _one_value(args.lam, float, "--lambda", default=0.0)
     variant = Variant(_one_value(args.variant, str, "--variant", default="g"))
+    cfg = OptimizationConfig(budget=budget, step=args.step,
+                             max_iters=args.max_iters, lam=lam, variant=variant)
 
     ds = _load_normalized(args)
     art_dir = args.artifacts or args.out
@@ -161,8 +163,6 @@ def cmd_optimize(args) -> int:
         if not 0 <= i < val_half.n:
             raise ValueError(f"--instances position {i} outside the "
                              f"validation half [0, {val_half.n})")
-    cfg = OptimizationConfig(budget=budget, step=args.step,
-                             max_iters=args.max_iters, lam=lam, variant=variant)
     t_idx = list(ds.schema.treatment_idx)
     served = val_half.take(rows)
     results = []

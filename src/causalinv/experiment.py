@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
 
@@ -253,6 +252,7 @@ def run_experiment(ds: Dataset, budgets, lambdas, variants, seed: int,
                     threshold)
     rows = range(val_half.n)
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # not at import
         # one chunk per worker, so each worker unpickles the models once
         with ProcessPoolExecutor(max_workers=min(jobs, len(rows))) as ex:
             per_row = list(ex.map(score, rows,

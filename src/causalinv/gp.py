@@ -334,8 +334,17 @@ def aps(x_T, means, stds) -> np.ndarray:
     stds = np.asarray(stds, dtype=np.float64)
     if np.any(stds <= 0):
         raise ValueError("predictive stds must be positive")
-    z = (x_T - means) / stds
+    return _density(x_T - means, stds)
+
+
+def _density(dev, stds):
+    """:func:`aps` of the deviations ``x_T - means``; float arrays, no checks."""
+    z = dev / stds
     return np.exp(-0.5 * z * z) / (SQRT_2PI * stds)
+
+
+def _density_slope(density, dev, stds):
+    return -density * dev / (stds * stds)
 
 
 def make_aps_result(x_T, means, stds) -> ApsResult:
@@ -346,7 +355,7 @@ def make_aps_result(x_T, means, stds) -> ApsResult:
     stds = np.asarray(stds, dtype=np.float64)
     density = aps(x_T, means, stds)
     return ApsResult(density=density,
-                     density_grad=-density * (x_T - means) / (stds * stds))
+                     density_grad=_density_slope(density, x_T - means, stds))
 
 
 def gp_to_dict(gp: TreatmentGP) -> dict:

@@ -8,8 +8,8 @@ GPs' predictive profile (means, stds) at the row's controls. The indirect
 estimator regresses the indirectly changeable features on (controls,
 treatments) so that a candidate policy's downstream feature values can be
 re-estimated during optimization. At one row both networks are evaluated by
-:func:`grad_wrt_treatments` alone, which gives the output and its gradient
-from one pass of each.
+one forward pass, shared by :func:`predict_proba` and
+:func:`grad_wrt_treatments`; the latter adds one backward pass of each.
 
 Both networks are plain numpy: tanh hidden layers, seeded initialization,
 mini-batch gradient descent. Architecture selection for the classifier is by
@@ -25,7 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gp import aps, make_aps_result, treatment_profile
+from .gp import _density, _density_slope, aps, treatment_profile
+
+# the clip ufunc itself (np.clip adds a Python-level dispatch to each call)
+_clip = (np._core if hasattr(np, "_core") else np.core).umath.clip
 
 DEFAULT_ARCH_GRID = ((16,), (32,), (16, 16), (32, 16))
 DEFAULT_EPOCHS = 400
@@ -125,17 +128,6 @@ class MlpClassifier:
                                  self.weights, self.biases)
         return 1.0 / (1.0 + np.exp(-z_out[:, 0]))
 
-    def input_gradient(self, z):
-        """Output probability at one input row, as :meth:`forward` gives it
-        for that row, and its gradient with respect to the row."""
-        acts, z_out = _forward_tanh(np.asarray(z, dtype=np.float64)[None, :],
-                                    self.weights, self.biases)
-        p = 1.0 / (1.0 + np.exp(-z_out[:, 0]))
-        delta = (p * (1.0 - p))[:, None]
-        for li in range(len(self.weights) - 1, 0, -1):
-            delta = (delta @ self.weights[li]) * (1.0 - acts[li] ** 2)
-        return float(p[0]), (delta @ self.weights[0])[0]
-
 
 @dataclass
 class IndirectEstimator:
@@ -165,20 +157,6 @@ class IndirectEstimator:
             return np.zeros((X_C.shape[0], 0))
         Z = np.concatenate([X_C, np.asarray(X_T, dtype=np.float64)], axis=1)
         return np.clip(_forward_tanh(Z, self.weights, self.biases)[1], 0.0, 1.0)
-
-    def jacobian_wrt_treatments(self, x_C, x_T):
-        """:meth:`predict` at one row, as a vector, and d(predict)/d(x_T),
-        with zero Jacobian rows where the output clip saturates."""
-        if self.n_indirect == 0:
-            return np.zeros(0), np.zeros((0, self.n_treatments))
-        z = np.concatenate([np.asarray(x_C, dtype=np.float64),
-                            np.asarray(x_T, dtype=np.float64)])[None, :]
-        acts, z_out = _forward_tanh(z, self.weights, self.biases)
-        a1 = acts[1][0]
-        inside = ((z_out[0] > 0.0) & (z_out[0] < 1.0)).astype(np.float64)
-        W_out, W_in = self.weights[1], self.weights[0]
-        jac = (W_out * (1.0 - a1 ** 2)[None, :]) @ W_in[:, self.n_controls:]
-        return np.clip(z_out[0], 0.0, 1.0), jac * inside[:, None]
 
 
 def _design(X_C, X_I, X_T, density=None):
@@ -271,11 +249,40 @@ def train_indirect(ds, seed: int = 0, epochs: int = DEFAULT_EPOCHS,
                                             "batch": batch, "seed": seed})
 
 
+def _forward_row(f, H, x_C, x_T, profile, include_aps_chain=False):
+    """Forward pass of both networks at one row, as the matrix paths give it:
+    the classifier's output (a 1-vector) and activations, H's activations and
+    output pre-activation (None without indirect features), and the weighted
+    classifier's direct-path factor phi, or phi + dphi * x_T with the chain."""
+    weight = density = h_acts = h_out = None
+    if f.weighted:
+        if profile is None:
+            raise ValueError("a classifier trained on weighted treatments "
+                             "needs the assignment GPs' (means, stds) profile")
+        means, stds = (np.asarray(a, dtype=np.float64) for a in profile)
+        if not np.minimum.reduce(stds) > 0:  # also rejects NaN
+            raise ValueError("predictive stds must be positive")
+        dev = x_T - means
+        weight = density = _density(dev, stds)
+        if include_aps_chain:
+            weight = density + _density_slope(density, dev, stds) * x_T
+    if H.n_indirect:
+        h_acts, h_out = _forward_tanh(np.concatenate([x_C, x_T])[None, :],
+                                      H.weights, H.biases)
+        h = _clip(h_out[0], 0.0, 1.0)
+    else:
+        h = np.zeros(0)
+    acts, z_out = _forward_tanh(_design(x_C, h, x_T, density)[None, :],
+                                f.weights, f.biases)
+    return 1.0 / (1.0 + np.exp(-z_out[:, 0])), acts, h_acts, h_out, weight
+
+
 def predict_proba(f: MlpClassifier, H: IndirectEstimator, x_C, x_T,
                   profile=None) -> float:
     """Classifier output at one row, with the indirect features re-estimated
     from (x_C, x_T): the value :func:`grad_wrt_treatments` returns."""
-    return grad_wrt_treatments(f, H, x_C, x_T, profile)[0]
+    return float(_forward_row(f, H, np.asarray(x_C, dtype=np.float64),
+                              np.asarray(x_T, dtype=np.float64), profile)[0][0])
 
 
 def grad_wrt_treatments(f: MlpClassifier, H: IndirectEstimator, x_C, x_T,
@@ -294,23 +301,21 @@ def grad_wrt_treatments(f: MlpClassifier, H: IndirectEstimator, x_C, x_T,
     """
     x_C = np.asarray(x_C, dtype=np.float64)
     x_T = np.asarray(x_T, dtype=np.float64)
-    density = None
-    if f.weighted:
-        if profile is None:
-            raise ValueError("classifier was trained on weighted treatments; "
-                             "the assignment GPs' (means, stds) profile is "
-                             "required")
-        res = make_aps_result(x_T, *profile)
-        density = res.density
-    h, jac = H.jacobian_wrt_treatments(x_C, x_T)
-    p, g = f.input_gradient(_design(x_C, h, x_T, density))
+    p, acts, h_acts, h_out, weight = _forward_row(f, H, x_C, x_T, profile,
+                                                  include_aps_chain)
+    delta = (p * (1.0 - p))[:, None]
+    for li in range(len(f.weights) - 1, 0, -1):
+        delta = (delta @ f.weights[li]) * (1.0 - acts[li] ** 2)
+    g = (delta @ f.weights[0])[0]
     n_c, n_i = f.n_controls, f.n_indirect
-    g_I = g[n_c:n_c + n_i]
-    g_w = g[n_c + n_i:]
-    if f.weighted:
-        g_w = g_w * (density + res.density_grad * x_T
-                     if include_aps_chain else density)
-    return p, jac.T @ g_I + g_w
+    g_w = g[n_c + n_i:] if weight is None else g[n_c + n_i:] * weight
+    if H.n_indirect:
+        inside = (h_out[0] > 0.0) & (h_out[0] < 1.0)
+        jac = ((H.weights[1] * (1.0 - h_acts[1][0] ** 2)[None, :])
+               @ H.weights[0][:, H.n_controls:]) * inside[:, None]
+    else:
+        jac = np.zeros((0, H.n_treatments))
+    return float(p[0]), jac.T @ g[n_c:n_c + n_i] + g_w
 
 
 def classifier_to_dict(f: MlpClassifier) -> dict:

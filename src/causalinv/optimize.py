@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .gp import ApsResult, make_aps_result, treatment_profile
-from .nets import grad_wrt_treatments
+from .nets import _clip, grad_wrt_treatments
 
 # consecutive iterations without a ``tol`` improvement that end a search
 PATIENCE = 5
@@ -54,14 +54,17 @@ class OptimizationConfig:
     variant: Variant = Variant.G
 
     def __post_init__(self):
-        if self.budget < 0:
-            raise ValueError("budget must be nonnegative")
-        if self.step < 0:
-            raise ValueError("step size must be nonnegative")
+        # NaN fails or NaNs every search; an infinite budget is legal
+        if not self.budget >= 0:
+            raise ValueError(f"--budget must be nonnegative, got {self.budget}")
+        for flag, what, value in (("--step", "step size", self.step),
+                                  ("--lambda", "lambda", self.lam),
+                                  ("tol", "tol", self.tol)):
+            if not (value >= 0 and np.isfinite(value)):
+                raise ValueError(f"{flag}: {what} must be nonnegative and "
+                                 f"finite, got {value}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.lam < 0:
-            raise ValueError("lambda must be nonnegative")
         object.__setattr__(self, "variant", Variant(self.variant))
 
 
@@ -77,15 +80,19 @@ class PolicyResult:
     iterates: np.ndarray  # (iterations_used + 1, |T|), starting at x_bar_T
 
 
+def _spend(z, c_up, c_down):  # cost() of float arrays, without conversions
+    return np.add.reduce(c_up * np.maximum(z, 0.0) + c_down * np.maximum(-z, 0.0),
+                         axis=-1)
+
+
 def cost(z, c_up, c_down):
     """Asymmetric deviation cost: increases priced by c_up, decreases by c_down.
 
     One deviation vector gives a float; a stack of them, one per row, gives
     an array with one cost per row.
     """
-    z = np.asarray(z, dtype=np.float64)
-    total = np.sum(np.asarray(c_up) * np.maximum(z, 0.0)
-                   + np.asarray(c_down) * np.maximum(-z, 0.0), axis=-1)
+    total = _spend(np.asarray(z, dtype=np.float64), np.asarray(c_up),
+                   np.asarray(c_down))
     return total if total.ndim else float(total)
 
 
@@ -109,11 +116,12 @@ def project(x, x_bar, c_up, c_down, B, l, u) -> np.ndarray:
     c_down = np.asarray(c_down, dtype=np.float64)
     l = np.asarray(l, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
-    if not np.all((l <= x_bar) & (x_bar <= u)):
+    if not ((l <= x_bar) & (x_bar <= u)).all():
         raise ValueError("x_bar lies outside the box [l, u]")
 
-    clipped = np.clip(x, l, u)
-    if cost(clipped - x_bar, c_up, c_down) <= B:
+    clipped = _clip(x, l, u)
+    z = clipped - x_bar
+    if _spend(z, c_up, c_down) <= B:
         return clipped
 
     d = x - x_bar
@@ -124,33 +132,23 @@ def project(x, x_bar, c_up, c_down, B, l, u) -> np.ndarray:
         return np.where(costed, x_bar, clipped)
 
     c_safe = np.where(costed, c_dir, 1.0)
-    reach = np.abs(d) / c_safe  # theta at which a costed coordinate hits x_bar
-    leave = reach - np.abs(clipped - x_bar) / c_safe  # ... leaves its box face
+    size, sign = np.abs(d), np.sign(d)
+    reach = size / c_safe  # theta at which a costed coordinate hits x_bar
+    leave = reach - np.abs(z) / c_safe  # ... leaves its box face
 
     def shrunk(theta):
         # c * (reach - theta), not |d| - theta * c: past its reach a costed
         # coordinate sits exactly at x_bar, so psi ends at exactly 0
-        mag = np.where(costed, c_dir * np.maximum(reach - theta, 0.0), np.abs(d))
-        return np.clip(x_bar + np.sign(d) * mag, l, u)
+        mag = np.where(costed, c_dir * np.maximum(reach - theta, 0.0), size)
+        return _clip(x_bar + sign * mag, l, u)
 
-    kinks = np.unique(np.concatenate([[0.0], leave[costed], reach[costed]]))
+    kinks = np.concatenate(([0.0], leave[costed], reach[costed]))
+    kinks.sort()
+    kinks = kinks[np.concatenate(([True], kinks[1:] != kinks[:-1]))]
     # psi falls from about cost(clipped) > B at theta = 0 to 0 at the last
     # kink, linearly between kinks
-    psi = cost(shrunk(kinks[:, None]) - x_bar, c_up, c_down)
+    psi = _spend(shrunk(kinks[:, None]) - x_bar, c_up, c_down)
     return shrunk(np.interp(B, psi[::-1], kinks[::-1]))
-
-
-def _value_and_direction(f, H, x_C, x_T, means, stds, cfg):
-    """Objective value and descent direction of ``cfg.variant`` at ``x_T``,
-    from one pass of the classifier and the indirect estimator; ``means`` and
-    ``stds`` are the assignment GPs' predictive moments at ``x_C``."""
-    chain = cfg.variant in (Variant.FPRIME_OPT, Variant.G)
-    val, d = grad_wrt_treatments(f, H, x_C, x_T, (means, stds),
-                                 include_aps_chain=chain)
-    if cfg.variant is Variant.G:
-        val += cfg.lam * float(np.sum((x_T - means) ** 2 / (2.0 * stds * stds)))
-        d = d + cfg.lam * (x_T - means) / (stds * stds)
-    return val, d
 
 
 def optimize(x_bar, f, H, gps, schema, cfg: OptimizationConfig,
@@ -173,33 +171,41 @@ def optimize(x_bar, f, H, gps, schema, cfg: OptimizationConfig,
     x_bar = np.asarray(x_bar, dtype=np.float64)
     x_C = x_bar[list(schema.control_idx)]
     x_bar_T = x_bar[list(schema.treatment_idx)]
-    means, stds = treatment_profile(gps, x_C) if profile is None else profile
-    c_up, c_down = schema.cost_up, schema.cost_down
-    l, u = schema.lower, schema.upper
+    means, stds = profile = (treatment_profile(gps, x_C) if profile is None
+                             else profile)
+    c_up, c_down, l, u = (np.asarray(a, dtype=np.float64) for a in (
+        schema.cost_up, schema.cost_down, schema.lower, schema.upper))
+    chain = variant in (Variant.FPRIME_OPT, Variant.G)
+    # g's pull adds lam * sum((x_T - means)^2 / (2 var)) and its gradient
+    pull, var, two_var = variant is Variant.G, stds * stds, 2.0 * stds * stds
 
     # project() returns a new array, so the iterates are never aliased
     x_T = x_bar_T
-    val, d = _value_and_direction(f, H, x_C, x_T, means, stds, cfg)
-    trace, iterates = [val], [x_T]
+    trace, iterates = [], []
     best = stall = 0
-    for m in range(cfg.max_iters):
-        if not np.all(np.isfinite(d)):
-            raise OptimizationError(f"non-finite gradient at iteration {m}")
-        x_T = project(x_T - cfg.step * d, x_bar_T, c_up, c_down, cfg.budget, l, u)
-        val, d = _value_and_direction(f, H, x_C, x_T, means, stds, cfg)
-        stall = 0 if val < trace[best] - cfg.tol else stall + 1
-        if val < trace[best]:
-            best = len(trace)
+    for m in range(cfg.max_iters + 1):
+        val, d = grad_wrt_treatments(f, H, x_C, x_T, profile, chain)
+        if pull:
+            dev = x_T - means
+            val += cfg.lam * float(np.add.reduce(dev * dev / two_var))
+            d = d + cfg.lam * dev / var
+        if trace:
+            stall = 0 if val < trace[best] - cfg.tol else stall + 1
+            if val < trace[best]:
+                best = len(trace)
         trace.append(val)
         iterates.append(x_T)
-        if stall >= PATIENCE:
+        if stall >= PATIENCE or m == cfg.max_iters:
             break
+        if not np.isfinite(d).all():
+            raise OptimizationError(f"non-finite gradient at iteration {m}")
+        x_T = project(x_T - cfg.step * d, x_bar_T, c_up, c_down, cfg.budget, l, u)
     best_x = iterates[best]
     return PolicyResult(
         x_T_star=best_x,
         objective_trace=np.asarray(trace),
         aps_star=make_aps_result(best_x, means, stds),
         iterations_used=len(trace) - 1,
-        cost_spent=cost(best_x - x_bar_T, c_up, c_down),
+        cost_spent=float(_spend(best_x - x_bar_T, c_up, c_down)),
         iterates=np.asarray(iterates),
     )

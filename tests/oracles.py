@@ -6,12 +6,18 @@ without a Cholesky factorization, the classifier oracle runs the networks
 from their weight arrays, and the finite-difference helpers probe functions
 numerically. The ``ref_*`` GP functions are the marginal-likelihood
 evaluation written with a fresh array for every intermediate; the library's
-in-place version must reproduce them bit for bit.
+in-place version must reproduce them bit for bit. The ``ref_*`` search
+functions are the policy search with every wrapper of its first version;
+the library's lean loop must reproduce them bit for bit too. The one helper
+built on library code, ``value_and_direction``, states each variant's
+objective on top of a one-row network pass.
 """
 
 import numpy as np
 
-from causalinv.gp import JITTERS, TRIL_INV_LEAF
+from causalinv.gp import JITTERS, SQRT_2PI, TRIL_INV_LEAF, treatment_profile
+from causalinv.nets import grad_wrt_treatments
+from causalinv.optimize import PATIENCE, OptimizationError, Variant
 
 
 def grid_project(v, x_bar, c_up, c_down, B, l, u, n_grid=200):
@@ -191,3 +197,170 @@ def ref_lml_and_grad(resid, log_theta, sqd):
     g_sv = 0.5 * (float(alpha @ K @ alpha) - float(np.sum(K_inv * K)))
     g_nv = 0.5 * nv * (float(alpha @ alpha) - float(np.trace(K_inv)))
     return lml, np.array([g_ls, g_sv, g_nv])
+
+
+# --- the per-row policy search as first written -----------------------------
+# Each iterate of ``ref_optimize`` goes through the public ``cost``, ``aps``
+# and ``np.clip`` wrappers, builds an ``ApsResult``, and evaluates H and the
+# classifier through their one-row Jacobian and input-gradient methods. The
+# library's search must reproduce every field of its result bit for bit.
+
+def ref_cost(z, c_up, c_down):
+    z = np.asarray(z, dtype=np.float64)
+    total = np.sum(np.asarray(c_up) * np.maximum(z, 0.0)
+                   + np.asarray(c_down) * np.maximum(-z, 0.0), axis=-1)
+    return total if total.ndim else float(total)
+
+
+def ref_project(x, x_bar, c_up, c_down, B, l, u):
+    x = np.asarray(x, dtype=np.float64)
+    x_bar = np.asarray(x_bar, dtype=np.float64)
+    c_up = np.asarray(c_up, dtype=np.float64)
+    c_down = np.asarray(c_down, dtype=np.float64)
+    l = np.asarray(l, dtype=np.float64)
+    u = np.asarray(u, dtype=np.float64)
+    if not np.all((l <= x_bar) & (x_bar <= u)):
+        raise ValueError("x_bar lies outside the box [l, u]")
+
+    clipped = np.clip(x, l, u)
+    if ref_cost(clipped - x_bar, c_up, c_down) <= B:
+        return clipped
+
+    d = x - x_bar
+    c_dir = np.where(d > 0, c_up, np.where(d < 0, c_down, 0.0))
+    costed = c_dir > 0
+    if B <= 0.0:
+        return np.where(costed, x_bar, clipped)
+
+    c_safe = np.where(costed, c_dir, 1.0)
+    reach = np.abs(d) / c_safe
+    leave = reach - np.abs(clipped - x_bar) / c_safe
+
+    def shrunk(theta):
+        mag = np.where(costed, c_dir * np.maximum(reach - theta, 0.0), np.abs(d))
+        return np.clip(x_bar + np.sign(d) * mag, l, u)
+
+    kinks = np.unique(np.concatenate([[0.0], leave[costed], reach[costed]]))
+    psi = ref_cost(shrunk(kinks[:, None]) - x_bar, c_up, c_down)
+    return shrunk(np.interp(B, psi[::-1], kinks[::-1]))
+
+
+def ref_aps_result(x_T, means, stds):
+    """(density, its derivative) of the propensity at ``x_T``."""
+    x_T = np.asarray(x_T, dtype=np.float64)
+    means = np.asarray(means, dtype=np.float64)
+    stds = np.asarray(stds, dtype=np.float64)
+    if np.any(stds <= 0):
+        raise ValueError("predictive stds must be positive")
+    z = (x_T - means) / stds
+    density = np.exp(-0.5 * z * z) / (SQRT_2PI * stds)
+    return density, -density * (x_T - means) / (stds * stds)
+
+
+def _ref_forward_tanh(X, weights, biases):
+    acts = [X]
+    a = X
+    for W, b in zip(weights[:-1], biases[:-1]):
+        a = np.tanh(a @ W.swapaxes(-1, -2) + b)
+        acts.append(a)
+    return acts, a @ weights[-1].swapaxes(-1, -2) + biases[-1]
+
+
+def ref_jacobian_wrt_treatments(H, x_C, x_T):
+    if H.n_indirect == 0:
+        return np.zeros(0), np.zeros((0, H.n_treatments))
+    z = np.concatenate([np.asarray(x_C, dtype=np.float64),
+                        np.asarray(x_T, dtype=np.float64)])[None, :]
+    acts, z_out = _ref_forward_tanh(z, H.weights, H.biases)
+    a1 = acts[1][0]
+    inside = ((z_out[0] > 0.0) & (z_out[0] < 1.0)).astype(np.float64)
+    W_out, W_in = H.weights[1], H.weights[0]
+    jac = (W_out * (1.0 - a1 ** 2)[None, :]) @ W_in[:, H.n_controls:]
+    return np.clip(z_out[0], 0.0, 1.0), jac * inside[:, None]
+
+
+def ref_input_gradient(f, z):
+    acts, z_out = _ref_forward_tanh(np.asarray(z, dtype=np.float64)[None, :],
+                                    f.weights, f.biases)
+    p = 1.0 / (1.0 + np.exp(-z_out[:, 0]))
+    delta = (p * (1.0 - p))[:, None]
+    for li in range(len(f.weights) - 1, 0, -1):
+        delta = (delta @ f.weights[li]) * (1.0 - acts[li] ** 2)
+    return float(p[0]), (delta @ f.weights[0])[0]
+
+
+def ref_grad_wrt_treatments(f, H, x_C, x_T, profile=None,
+                            include_aps_chain=False):
+    x_C = np.asarray(x_C, dtype=np.float64)
+    x_T = np.asarray(x_T, dtype=np.float64)
+    density = None
+    if f.weighted:
+        if profile is None:
+            raise ValueError("the assignment GPs' (means, stds) profile is "
+                             "required")
+        density, density_grad = ref_aps_result(x_T, *profile)
+    h, jac = ref_jacobian_wrt_treatments(H, x_C, x_T)
+    p, g = ref_input_gradient(f, np.concatenate(
+        [x_C, h, x_T if density is None else density * x_T], axis=-1))
+    n_c, n_i = f.n_controls, f.n_indirect
+    g_I = g[n_c:n_c + n_i]
+    g_w = g[n_c + n_i:]
+    if f.weighted:
+        g_w = g_w * (density + density_grad * x_T
+                     if include_aps_chain else density)
+    return p, jac.T @ g_I + g_w
+
+
+def value_and_direction(f, H, x_C, x_T, means, stds, cfg,
+                        grad=grad_wrt_treatments):
+    """Objective value and descent direction of ``cfg.variant`` at ``x_T``:
+    the classifier's output and total derivative (propensity chain rule for
+    fprime-opt and g), plus for g the quadratic pull lambda * sum((x_T -
+    means)^2 / (2 sigma^2)) and its gradient, from one ``grad`` pass."""
+    chain = cfg.variant in (Variant.FPRIME_OPT, Variant.G)
+    val, d = grad(f, H, x_C, x_T, (means, stds), include_aps_chain=chain)
+    if cfg.variant is Variant.G:
+        val += cfg.lam * float(np.sum((x_T - means) ** 2 / (2.0 * stds * stds)))
+        d = d + cfg.lam * (x_T - means) / (stds * stds)
+    return val, d
+
+
+def ref_optimize(x_bar, f, H, gps, schema, cfg, profile=None):
+    """The policy search with the iterate loop, stall test and best-iterate
+    rule of ``causalinv.optimize.optimize``, evaluated through the
+    ``ref_*`` functions above. Returns the fields of a ``PolicyResult``
+    as a dict, with ``aps_star`` as (density, density_grad)."""
+    x_bar = np.asarray(x_bar, dtype=np.float64)
+    x_C = x_bar[list(schema.control_idx)]
+    x_bar_T = x_bar[list(schema.treatment_idx)]
+    means, stds = treatment_profile(gps, x_C) if profile is None else profile
+    c_up, c_down = schema.cost_up, schema.cost_down
+    l, u = schema.lower, schema.upper
+
+    def evaluate(x_T):
+        return value_and_direction(f, H, x_C, x_T, means, stds, cfg,
+                                   grad=ref_grad_wrt_treatments)
+
+    x_T = x_bar_T
+    val, d = evaluate(x_T)
+    trace, iterates = [val], [x_T]
+    best = stall = 0
+    for m in range(cfg.max_iters):
+        if not np.all(np.isfinite(d)):
+            raise OptimizationError(f"non-finite gradient at iteration {m}")
+        x_T = ref_project(x_T - cfg.step * d, x_bar_T, c_up, c_down,
+                          cfg.budget, l, u)
+        val, d = evaluate(x_T)
+        stall = 0 if val < trace[best] - cfg.tol else stall + 1
+        if val < trace[best]:
+            best = len(trace)
+        trace.append(val)
+        iterates.append(x_T)
+        if stall >= PATIENCE:
+            break
+    best_x = iterates[best]
+    return dict(x_T_star=best_x, objective_trace=np.asarray(trace),
+                aps_star=ref_aps_result(best_x, means, stds),
+                iterations_used=len(trace) - 1,
+                cost_spent=ref_cost(best_x - x_bar_T, c_up, c_down),
+                iterates=np.asarray(iterates))

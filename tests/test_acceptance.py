@@ -15,9 +15,9 @@ from causalinv.experiment import (TrainSettings, fit_side_models,
                                   report_to_dict, run_experiment)
 from causalinv.gp import KernelConfig, aps, fit_gp, make_aps_result
 from causalinv.nets import grad_wrt_treatments
-from causalinv.optimize import (OptimizationConfig, Variant,
-                                _value_and_direction, cost, optimize, project)
-from tests.oracles import central_diff, classifier_output, grid_project
+from causalinv.optimize import OptimizationConfig, Variant, cost, optimize, project
+from tests.oracles import (central_diff, classifier_output, grid_project,
+                           value_and_direction)
 
 SWEEP_SEED = 1
 HEADLINE_LAM = 0.05  # calibrated default for the regularized variant
@@ -80,15 +80,15 @@ class TestCriterion1Gradients:
                                  (Variant.G, 0.8)):
                 cfg = OptimizationConfig(budget=1.0, lam=lam, variant=variant)
                 f = side.f_plain if variant is Variant.NON_CAUSAL_F else side.f_weighted
-                _, d = _value_and_direction(f, side.H, x_C, x_T, prof[0],
-                                            prof[1], cfg)
+                _, d = value_and_direction(f, side.H, x_C, x_T, prof[0],
+                                           prof[1], cfg)
                 if variant is Variant.FPRIME_NOOPT:
                     # propensity frozen at the evaluation point
                     fn = lambda xt: classifier_output(f, side.H, x_C, xt,
                                                       density)
                 else:
-                    fn = lambda xt: _value_and_direction(f, side.H, x_C, xt,
-                                                         *prof, cfg)[0]
+                    fn = lambda xt: value_and_direction(f, side.H, x_C, xt,
+                                                        *prof, cfg)[0]
                 fd = central_diff(fn, x_T)
                 worst = max(worst, float(np.abs(d - fd).max()))
         _verdict(1, worst < 1e-5,
@@ -190,8 +190,8 @@ class TestCriterion4ObjectiveUpdateConsistency:
                                           include_aps_chain=True)[1]
                       + cfg.lam * (x_T - means) / (stds * stds))
             fd = central_diff(
-                lambda xt: _value_and_direction(side.f_weighted, side.H, x_C,
-                                                xt, means, stds, cfg)[0],
+                lambda xt: value_and_direction(side.f_weighted, side.H, x_C,
+                                               xt, means, stds, cfg)[0],
                 x_T)
             worst = max(worst, float(np.abs(update - fd).max()))
         _verdict(4, worst < 1e-5,

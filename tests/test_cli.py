@@ -79,6 +79,37 @@ def test_folds_above_half_rows_exit_2_before_gp_fits(corpus, tmp_path,
     assert not out.exists()
 
 
+# search settings that would make every search fail or score NaN; an
+# infinite budget stays legal
+BAD_SEARCH = [
+    (["--budget", "nan", "--variant", "g"], "--budget must be nonnegative, got nan"),
+    (["--budget", "1", "--step", "nan"],
+     "--step: step size must be nonnegative and finite, got nan"),
+    (["--budget", "1", "--step", "inf"],
+     "--step: step size must be nonnegative and finite, got inf"),
+    (["--budget", "1", "--lambda", "nan"],
+     "--lambda: lambda must be nonnegative and finite, got nan"),
+]
+
+
+@pytest.mark.parametrize("flags, message", BAD_SEARCH)
+def test_bad_search_setting_optimize_exit_2_before_loading(corpus, tmp_path,
+                                                           monkeypatch, capsys,
+                                                           flags, message):
+    def no_load(*args, **kwargs):
+        raise AssertionError("data or artifacts loaded")
+
+    monkeypatch.setattr("causalinv.cli.load_dataset", no_load)
+    monkeypatch.setattr("causalinv.cli._load_artifacts", no_load)
+    csv_path, schema_path = corpus
+    out = tmp_path / "bad"
+    code = main(["optimize", "--data", csv_path, "--schema", schema_path,
+                 "--out", str(out)] + flags)
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestTrain:
     def test_writes_manifest_and_models(self, corpus, tmp_path):
         assert _train(corpus, tmp_path / "run") == 0
@@ -307,7 +338,7 @@ class TestEvaluate:
         assert code == 2
         assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags, message", [
+    @pytest.mark.parametrize("flags, message", BAD_SEARCH + [
         (["--budget", "-1"], "budget must be nonnegative"),
         (["--budget", "1", "--step", "-1"], "step size must be nonnegative"),
         (["--budget", "1", "--max-iters", "0"], "max_iters must be at least 1")])

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -226,8 +229,10 @@ class TestRunExperiment:
             run_experiment(raw, budgets=[1.0], lambdas=[0.0], variants=["g"],
                            seed=0, settings=SMALL_SETTINGS)
 
-    @pytest.mark.parametrize("kw", [dict(budgets=[-1]), dict(step=-0.1),
-                                    dict(max_iters=0), dict(lambdas=[-1])])
+    @pytest.mark.parametrize("kw", [
+        dict(budgets=[-1]), dict(step=-0.1), dict(max_iters=0),
+        dict(lambdas=[-1]), dict(budgets=[np.nan]), dict(step=np.nan),
+        dict(step=np.inf), dict(lambdas=[np.nan]), dict(lambdas=[np.inf])])
     def test_bad_cell_rejected_before_fitting(self, tiny_ds, monkeypatch, kw):
         def no_fit(*args, **kwargs):
             raise AssertionError("fit_side_models called before the cells "
@@ -285,3 +290,19 @@ class TestTreatmentFrequency:
         for c in rep.cells:
             assert c.n_instances > 0
             assert c.freq_counts == (c.n_instances, c.n_instances)
+
+
+def test_import_leaves_process_pools_out():
+    # only a sweep with jobs > 1 imports concurrent.futures.process and with
+    # it multiprocessing
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, causalinv; "
+         "print('concurrent.futures.process' in sys.modules, "
+         "'multiprocessing' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "False"]

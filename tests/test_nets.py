@@ -187,8 +187,15 @@ class TestIndirect:
         H = train_indirect(ds, seed=0, epochs=10)
         assert H.n_indirect == 0
         assert H.predict(np.zeros((1, 2)), np.zeros((1, 2))).shape == (1, 0)
-        h, jac = H.jacobian_wrt_treatments(np.zeros(2), np.zeros(2))
-        assert h.shape == (0,) and jac.shape == (0, 2)
+        # at one row it adds no features and no gradient path
+        f = _random_classifier(2, 0, 2, seed=3)
+        x_C, x_T = np.array([0.2, 0.7]), np.array([0.4, 0.6])
+        val, g = grad_wrt_treatments(f, H, x_C, x_T)
+        assert val == predict_proba(f, H, x_C, x_T)
+        assert abs(val - classifier_output(f, H, x_C, x_T)) < 1e-15
+        assert g.shape == (2,)
+        fd = central_diff(lambda xt: predict_proba(f, H, x_C, xt), x_T)
+        assert np.abs(g - fd).max() < 1e-5
 
 
 class TestPredictProba:
@@ -221,6 +228,14 @@ class TestPredictProba:
         f_raw = MlpClassifier(f.layer_dims, f.weights, f.biases, False,
                               f.n_controls, f.n_indirect, f.n_treatments)
         assert abs(weighted_val - predict_proba(f_raw, H, x_C, x_T)) < 1e-15
+
+    def test_weighted_rejects_nonpositive_stds(self):
+        f = _random_classifier(2, 1, 2, seed=14, weighted=True)
+        H = _random_indirect(2, 2, 1, seed=15)
+        for stds in ([0.3, 0.0], [0.3, -0.2], [np.nan, 0.3]):
+            for fn in (predict_proba, grad_wrt_treatments):
+                with pytest.raises(ValueError, match="stds must be positive"):
+                    fn(f, H, np.zeros(2), np.zeros(2), (np.zeros(2), stds))
 
     def test_weighted_requires_aps(self):
         f = _random_classifier(2, 1, 2, seed=14, weighted=True)

@@ -7,10 +7,11 @@ from causalinv.gp import KernelConfig, aps, fit_gp, treatment_profile
 from causalinv.nets import (IndirectEstimator, MlpClassifier, _design,
                             grad_wrt_treatments, predict_proba)
 from causalinv.optimize import (OptimizationConfig, OptimizationError,
-                                Variant, _value_and_direction, cost, optimize,
-                                project)
+                                Variant, cost, optimize, project)
 from tests.conftest import make_schema
-from tests.oracles import central_diff, classifier_output, grid_project
+from tests.oracles import (central_diff, classifier_output, grid_project,
+                           ref_grad_wrt_treatments, ref_optimize, ref_project,
+                           value_and_direction)
 from tests.test_nets import _random_classifier, _random_indirect
 
 
@@ -23,6 +24,21 @@ class TestCost:
 
     def test_free_direction(self):
         assert cost([0.3], [0.0], [5.0]) == 0.0
+
+
+@pytest.mark.parametrize("kw, message", [
+    (dict(budget=np.nan), "--budget must be nonnegative, got nan"),
+    (dict(step=np.nan), "--step: step size must be nonnegative and finite"),
+    (dict(step=np.inf), "--step: step size must be nonnegative and finite"),
+    (dict(lam=np.nan), "--lambda: lambda must be nonnegative and finite"),
+    (dict(lam=np.inf), "--lambda: lambda must be nonnegative and finite"),
+    (dict(tol=np.nan), "tol: tol must be nonnegative and finite")])
+def test_config_rejects_non_finite_settings(kw, message):
+    # an infinite budget never binds and stays legal
+    OptimizationConfig(budget=np.inf)
+    with pytest.raises(ValueError) as err:
+        OptimizationConfig(**{"budget": 1.0, **kw})
+    assert message in str(err.value)
 
 
 def _rand_problem(rng, k):
@@ -217,8 +233,8 @@ class TestOptimize:
         grid = np.linspace(0.3, 0.7, 2001)
         x_C = np.array([0.4])
         means, stds = treatment_profile(self.gps, x_C)
-        vals = [_value_and_direction(f, self.H, x_C, np.array([g]), means,
-                                     stds, cfg)[0] for g in grid]
+        vals = [value_and_direction(f, self.H, x_C, np.array([g]), means,
+                                    stds, cfg)[0] for g in grid]
         assert res.objective_trace.min() <= min(vals) + 1e-6
 
     def test_every_iterate_feasible(self):
@@ -282,8 +298,8 @@ class TestOptimize:
         grid = np.linspace(0.25, 0.75, 2001)
         x_C = x_bar[:1]
         means, stds = treatment_profile(self.gps, x_C)
-        vals = [_value_and_direction(f, self.H, x_C, np.array([g]), means,
-                                     stds, cfg)[0] for g in grid]
+        vals = [value_and_direction(f, self.H, x_C, np.array([g]), means,
+                                    stds, cfg)[0] for g in grid]
         assert res.objective_trace.min() <= min(vals) + 5e-4
 
 
@@ -305,10 +321,10 @@ class TestObjective:
         x_T = np.array([0.45, 0.55])
         x_C = self.x_bar[:1]
         means, stds = treatment_profile(self.gps, x_C)
-        a = _value_and_direction(self.f, self.H, x_C, x_T, means, stds,
-                                 cfg_g)[0]
-        b = _value_and_direction(self.f, self.H, x_C, x_T, means, stds,
-                                 cfg_fp)[0]
+        a = value_and_direction(self.f, self.H, x_C, x_T, means, stds,
+                                cfg_g)[0]
+        b = value_and_direction(self.f, self.H, x_C, x_T, means, stds,
+                                cfg_fp)[0]
         assert a == b
 
     def test_penalty_vanishes_at_assignment_mean(self):
@@ -316,10 +332,10 @@ class TestObjective:
         means, stds = treatment_profile(self.gps, x_C)
         cfg0 = OptimizationConfig(budget=1, lam=0.0, variant=Variant.G)
         cfg5 = OptimizationConfig(budget=1, lam=5.0, variant=Variant.G)
-        a = _value_and_direction(self.f, self.H, x_C, means, means, stds,
-                                 cfg0)[0]
-        b = _value_and_direction(self.f, self.H, x_C, means, means, stds,
-                                 cfg5)[0]
+        a = value_and_direction(self.f, self.H, x_C, means, means, stds,
+                                cfg0)[0]
+        b = value_and_direction(self.f, self.H, x_C, means, means, stds,
+                                cfg5)[0]
         assert abs(a - b) < 1e-14
 
     def test_g_objective_differentiates_to_update_direction(self):
@@ -336,8 +352,8 @@ class TestObjective:
                                              include_aps_chain=True)[1]
                          + 0.7 * (x_T - means) / (stds * stds))
             fd = central_diff(
-                lambda xt: _value_and_direction(self.f, self.H, x_C, xt, means,
-                                                stds, cfg)[0], x_T)
+                lambda xt: value_and_direction(self.f, self.H, x_C, xt, means,
+                                               stds, cfg)[0], x_T)
             assert np.abs(direction - fd).max() < 1e-5
 
 
@@ -372,14 +388,14 @@ class TestDirectionProperties:
             cfg = OptimizationConfig(budget=1.0, variant=variant,
                                      lam=0.8 * (variant is Variant.G))
             f_v = f[variant.needs_weighted]
-            _, d = _value_and_direction(f_v, H, x_C, x_T, means, stds, cfg)
+            _, d = value_and_direction(f_v, H, x_C, x_T, means, stds, cfg)
             if variant is Variant.FPRIME_NOOPT:
                 fd = central_diff(
                     lambda xt: classifier_output(f_v, H, x_C, xt, frozen), x_T)
             else:
                 fd = central_diff(
-                    lambda xt: _value_and_direction(f_v, H, x_C, xt, means,
-                                                    stds, cfg)[0], x_T)
+                    lambda xt: value_and_direction(f_v, H, x_C, xt, means,
+                                                   stds, cfg)[0], x_T)
             assert np.abs(d - fd).max() < 1e-5, variant
 
 
@@ -401,23 +417,31 @@ class TestOneEvaluationPerIterate:
     def test_value_is_predict_proba_bit_for_bit(self):
         # the one-row value equals an independent pass of the matrix paths:
         # H.predict for the indirect features, then MlpClassifier.forward on
-        # the design row, its treatments weighted by aps() when f is weighted
+        # the design row, its treatments weighted by aps() when f is weighted;
+        # optimize's objective trace holds that value at each of its iterates
         x_C = self.x_bar[:2]
         means, stds = treatment_profile(self.gps, x_C)
         rng = np.random.default_rng(14)
         for cfg in self.cfgs:
             f = self.f[cfg.variant.needs_weighted]
-            for x_T in rng.uniform(0.0, 1.0, (20, 2)):
-                val, _ = _value_and_direction(f, self.H, x_C, x_T, means, stds,
-                                              cfg)
+
+            def ref(x_T):
                 density = aps(x_T, means, stds) if f.weighted else None
                 h = self.H.predict(x_C[None], x_T[None])[0]
-                ref = f.forward(_design(x_C, h, x_T, density)[None])[0]
-                assert predict_proba(f, self.H, x_C, x_T, (means, stds)) == ref
+                p = f.forward(_design(x_C, h, x_T, density)[None])[0]
+                assert predict_proba(f, self.H, x_C, x_T, (means, stds)) == p
                 if cfg.variant is Variant.G:
-                    ref += cfg.lam * float(np.sum((x_T - means) ** 2
-                                                  / (2.0 * stds * stds)))
-                assert val == ref
+                    p += cfg.lam * float(np.sum((x_T - means) ** 2
+                                                / (2.0 * stds * stds)))
+                return p
+
+            for x_T in rng.uniform(0.0, 1.0, (20, 2)):
+                val, _ = value_and_direction(f, self.H, x_C, x_T, means, stds,
+                                             cfg)
+                assert val == ref(x_T)
+            res = optimize(self.x_bar, f, self.H, self.gps, self.schema, cfg)
+            assert list(res.objective_trace) == [ref(x_T)
+                                                 for x_T in res.iterates]
 
     def test_optimize_makes_one_pass_per_iterate(self, monkeypatch):
         import importlib
@@ -441,3 +465,84 @@ class TestOneEvaluationPerIterate:
                            self.H, self.gps, self.schema, cfg)
             assert res.iterations_used > 1
             assert len(passes) == res.iterations_used + 1
+
+
+def _same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def _projection_edge_case(draw):
+    """A projection problem with its edge cases made likely: a budget of
+    exactly 0, coordinates copied from coordinate 0 (their kinks coincide),
+    and coordinates anchored at a lower bound of 0 whose point is -0.0 (a
+    deviation of -0.0, which clipping turns into +0.0)."""
+    v, x_bar, c_up, c_down, B, l, u = draw(_projection_problem())
+    k = len(v)
+    B = draw(st.sampled_from([B, 0.0]))
+    for j in draw(st.sets(st.integers(0, k - 1))):
+        for a in (v, x_bar, c_up, c_down, l, u):
+            a[j] = a[0]
+    for j in draw(st.sets(st.integers(0, k - 1))):
+        l[j], x_bar[j], u[j], v[j] = 0.0, 0.0, max(u[j], 0.0), -0.0
+    return v, x_bar, c_up, c_down, B, l, u
+
+
+class TestSearchMatchesReference:
+    """The policy search reproduces, bit for bit, the reference engine of
+    ``tests.oracles``, which evaluates each iterate through every public
+    wrapper and builds an ``ApsResult`` per iterate."""
+
+    @PROPERTY
+    @given(_projection_edge_case())
+    def test_project_bit_for_bit(self, prob):
+        assert _same_bytes(project(*prob), ref_project(*prob))
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(_network_problem())
+    def test_one_row_passes_bit_for_bit(self, prob):
+        f, H, x_C, x_T, means, stds = prob
+        for f_k in f.values():
+            for chain in (False, True):
+                val, g = grad_wrt_treatments(f_k, H, x_C, x_T, (means, stds),
+                                             include_aps_chain=chain)
+                ref_val, ref_g = ref_grad_wrt_treatments(
+                    f_k, H, x_C, x_T, (means, stds), include_aps_chain=chain)
+                assert val == ref_val and _same_bytes(g, ref_g)
+                assert predict_proba(f_k, H, x_C, x_T, (means, stds)) == val
+
+    @pytest.mark.parametrize("n_i", [0, 2])
+    def test_every_policy_field_bit_for_bit(self, n_i):
+        # budgets: pinned, binding, loose (above the largest possible
+        # cost of 3 x 2.5) and unbounded
+        n_c, n_t = 2, 3
+        schema = make_schema(n_c, n_i, n_t, cost_up=[2.5, 0.5, 1.0],
+                             cost_down=[0.5, 2.0, 1.0])
+        H = (_random_indirect(n_c, n_t, n_i, seed=31) if n_i
+             else IndirectEstimator.passthrough(n_c, n_t))
+        f = {weighted: _random_classifier(n_c, n_i, n_t, seed=32,
+                                          weighted=weighted, hidden=(6, 4))
+             for weighted in (False, True)}
+        gps = _fitted_gps(n_t, n_c=n_c)
+        rows = np.random.default_rng(33).uniform(0.1, 0.9, (2, n_c + n_i + n_t))
+        for variant in Variant:
+            for budget in (0.0, 0.05, 10.0, np.inf):
+                for lam in (0.0, 0.1, 1.0):
+                    cfg = OptimizationConfig(budget=budget, lam=lam,
+                                             variant=variant, max_iters=80)
+                    for x_bar in rows:
+                        args = (x_bar, f[variant.needs_weighted], H, gps,
+                                schema, cfg)
+                        res, ref = optimize(*args), ref_optimize(*args)
+                        for name in ("x_T_star", "objective_trace",
+                                     "iterates"):
+                            assert _same_bytes(getattr(res, name), ref[name])
+                        assert _same_bytes(res.aps_star.density,
+                                           ref["aps_star"][0])
+                        assert _same_bytes(res.aps_star.density_grad,
+                                           ref["aps_star"][1])
+                        assert res.iterations_used == ref["iterations_used"]
+                        assert (type(res.cost_spent) is float
+                                and _same_bytes(res.cost_spent,
+                                                ref["cost_spent"]))
