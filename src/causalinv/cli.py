@@ -17,7 +17,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 from .data import (DataError, SchemaError, denormalize, load_dataset,
                    normalize, split_half)
@@ -25,10 +25,14 @@ from .experiment import (SideModels, TrainSettings, _derive_seed,
                          fit_side_models, run_experiment, write_json,
                          write_report, write_sweep_csv)
 from .gp import gp_from_dict, gp_to_dict
-from .nets import classifier_from_dict, classifier_to_dict, indirect_from_dict, indirect_to_dict
+from .nets import IndirectEstimator, MlpClassifier, net_from_dict, net_to_dict
 from .optimize import OptimizationConfig, OptimizationError, Variant, optimize
 
 MANIFEST_FORMAT = "causalinv-manifest-1"
+# each network's file in models/, its SideModels attribute and its class
+NET_FILES = (("classifier_weighted.json", "f_weighted", MlpClassifier),
+             ("classifier_plain.json", "f_plain", MlpClassifier),
+             ("indirect.json", "H", IndirectEstimator))
 
 
 def _split_list(values, cast):
@@ -60,9 +64,8 @@ def _seed_from(args):
 
 
 def _settings_from(args):
-    kwargs = {name: getattr(args, name)
-              for name in ("folds", "epochs", "lr", "batch", "gp_restarts")
-              if getattr(args, name) is not None}
+    kwargs = {fld.name: getattr(args, fld.name) for fld in fields(TrainSettings)
+              if getattr(args, fld.name, None) is not None}
     archs = _split_list(args.arch, str)
     if archs:
         kwargs["arch_grid"] = tuple(
@@ -74,8 +77,8 @@ def _load_normalized(args):
     return normalize(load_dataset(args.data, args.schema))
 
 
-def _safe_name(name):
-    return "".join(ch if ch.isalnum() else "_" for ch in name)
+def _gp_file(treatment):
+    return f"gp_{''.join(ch if ch.isalnum() else '_' for ch in treatment)}.json"
 
 
 def cmd_train(args) -> int:
@@ -87,14 +90,11 @@ def cmd_train(args) -> int:
 
     models_dir = os.path.join(args.out, "models")
     os.makedirs(models_dir, exist_ok=True)
-    write_json(classifier_to_dict(side.f_weighted),
-               os.path.join(models_dir, "classifier_weighted.json"))
-    write_json(classifier_to_dict(side.f_plain),
-               os.path.join(models_dir, "classifier_plain.json"))
-    write_json(indirect_to_dict(side.H), os.path.join(models_dir, "indirect.json"))
+    for file_name, attr, _ in NET_FILES:
+        write_json(net_to_dict(getattr(side, attr)),
+                   os.path.join(models_dir, file_name))
     for name, gp in zip(ds.schema.treatment_names(), side.gps):
-        write_json(gp_to_dict(gp),
-                   os.path.join(models_dir, f"gp_{_safe_name(name)}.json"))
+        write_json(gp_to_dict(gp), os.path.join(models_dir, _gp_file(name)))
     manifest = {
         "format": MANIFEST_FORMAT,
         "seed": seed,
@@ -119,36 +119,40 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _read_doc(path, decode=None, *args):
+    """The JSON document at ``path``, through ``decode(doc, *args)`` if given."""
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"artifacts not found: {path}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        return doc if decode is None else decode(doc, *args)
+    except (KeyError, TypeError, ValueError) as exc:  # name the document
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def _load_artifacts(art_dir, treatments):
     models_dir = os.path.join(art_dir, "models")
-    def _read(name):
-        path = os.path.join(models_dir, name)
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"artifacts not found: {path}")
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
     return SideModels(
-        f_weighted=classifier_from_dict(_read("classifier_weighted.json")),
-        f_plain=classifier_from_dict(_read("classifier_plain.json")),
-        H=indirect_from_dict(_read("indirect.json")),
-        gps=tuple(gp_from_dict(_read(f"gp_{_safe_name(t)}.json"))
+        **{attr: _read_doc(os.path.join(models_dir, name), net_from_dict, cls)
+           for name, attr, cls in NET_FILES},
+        gps=tuple(_read_doc(os.path.join(models_dir, _gp_file(t)), gp_from_dict)
                   for t in treatments))
 
 
 def cmd_optimize(args) -> int:
     budget = _one_value(args.budget, float, "--budget")
-    lam = _one_value(args.lam, float, "--lambda", default=0.0)
-    variant = Variant(_one_value(args.variant, str, "--variant", default="g"))
+    lam = _one_value(args.lam, float, "--lambda", default=OptimizationConfig.lam)
+    variant = Variant(_one_value(args.variant, str, "--variant",
+                                 default=OptimizationConfig.variant))
     cfg = OptimizationConfig(budget=budget, step=args.step,
                              max_iters=args.max_iters, lam=lam, variant=variant)
+    if args.print_limit < 0:
+        raise ValueError(f"--print-limit must be at least 0, got {args.print_limit}")
 
     ds = _load_normalized(args)
     art_dir = args.artifacts or args.out
-    manifest_path = os.path.join(art_dir, "manifest.json")
-    if not os.path.exists(manifest_path):
-        raise FileNotFoundError(f"artifacts not found: {manifest_path}")
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest = _read_doc(os.path.join(art_dir, "manifest.json"))
     names = ds.schema.treatment_names()
     if manifest["treatments"] != list(names):
         raise ValueError(f"the artifacts were trained on treatments "
@@ -210,9 +214,7 @@ def cmd_evaluate(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     budgets = _split_list(args.budget, float)
-    if not budgets:
-        raise ValueError("empty sweep: at least one --budget is required")
-    lams = _split_list(args.lam, float) or [0.0]
+    lams = _split_list(args.lam, float)
     variants = [Variant(v) for v in (_split_list(args.variant, str)
                                      or [v.value for v in Variant])]
     seed = _seed_from(args)
@@ -240,14 +242,26 @@ def _add_common(p, training=True):
     if training:
         p.add_argument("--seed", type=int, default=None,
                        help="master seed (default: $PROPHIT_SEED or 0)")
-        p.add_argument("--folds", type=int, default=None)
-        p.add_argument("--epochs", type=int, default=None)
-        p.add_argument("--lr", type=float, default=None)
-        p.add_argument("--batch", type=int, default=None)
-        p.add_argument("--gp-restarts", dest="gp_restarts", type=int, default=None)
+        for fld in fields(TrainSettings):  # --folds ... --gp-restarts
+            if fld.name != "arch_grid":
+                p.add_argument("--" + fld.name.replace("_", "-"), dest=fld.name,
+                               type=type(fld.default), default=None)
         p.add_argument("--arch", action="append", default=None,
                        help="architecture candidate, widths joined by 'x' "
                             "(e.g. 32x16); repeatable")
+
+
+def _add_search(p):
+    """The search flags of ``optimize`` and ``evaluate``."""
+    p.add_argument("--budget", action="append", required=True)
+    p.add_argument("--lambda", dest="lam", action="append", default=None)
+    p.add_argument("--variant", action="append", default=None,
+                   help="f | fprime-noopt | fprime-opt | g")
+    p.add_argument("--step", type=float, default=OptimizationConfig.step,
+                   help="gradient step; keep below sigma^2/lambda for "
+                        "large lambda or the pull term oscillates")
+    p.add_argument("--max-iters", dest="max_iters", type=int,
+                   default=OptimizationConfig.max_iters)
 
 
 def build_parser():
@@ -266,14 +280,7 @@ def build_parser():
     p_opt.add_argument("--artifacts", default=None,
                        help="directory with manifest.json and models/ "
                             "(default: --out)")
-    p_opt.add_argument("--budget", action="append", required=True)
-    p_opt.add_argument("--lambda", dest="lam", action="append", default=None)
-    p_opt.add_argument("--variant", action="append", default=None,
-                       help="f | fprime-noopt | fprime-opt | g")
-    p_opt.add_argument("--step", type=float, default=0.05,
-                       help="gradient step; keep below sigma^2/lambda for "
-                            "large lambda or the pull term oscillates")
-    p_opt.add_argument("--max-iters", dest="max_iters", type=int, default=300)
+    _add_search(p_opt)
     p_opt.add_argument("--instances", action="append", default=None,
                        help="validation-half row positions (comma separated)")
     p_opt.add_argument("--print-limit", dest="print_limit", type=int, default=5)
@@ -281,11 +288,7 @@ def build_parser():
 
     p_eval = sub.add_parser("evaluate", help="run the full experiment protocol")
     _add_common(p_eval)
-    p_eval.add_argument("--budget", action="append", required=True)
-    p_eval.add_argument("--lambda", dest="lam", action="append", default=None)
-    p_eval.add_argument("--variant", action="append", default=None)
-    p_eval.add_argument("--step", type=float, default=0.05)
-    p_eval.add_argument("--max-iters", dest="max_iters", type=int, default=300)
+    _add_search(p_eval)
     p_eval.add_argument("--jobs", type=int, default=1)
     p_eval.set_defaults(func=cmd_evaluate)
     return parser

@@ -21,11 +21,13 @@ from functools import partial
 import numpy as np
 
 from .data import Dataset, split_half
-from .gp import KernelConfig, fit_gp, treatment_profile
-from .nets import (DEFAULT_ARCH_GRID, DEFAULT_BATCH, DEFAULT_EPOCHS, DEFAULT_LR,
-                   predict_proba, train_classifier, train_indirect)
-from .optimize import OptimizationConfig, OptimizationError, Variant, optimize
+from .gp import DEFAULT_RESTARTS, KernelConfig, fit_gp, treatment_profile
+from .nets import (DEFAULT_ARCH_GRID, DEFAULT_BATCH, DEFAULT_EPOCHS,
+                   DEFAULT_FOLDS, DEFAULT_LR, predict_proba, train_classifier,
+                   train_indirect)
+from .optimize import TOL, OptimizationConfig, OptimizationError, Variant, optimize
 
+# a policy adjusts a treatment that it moves by more than this
 ADJUST_THRESHOLD = 1e-3
 DEFAULT_KERNEL = KernelConfig(lengthscale=2.0, signal_variance=1.0,
                               noise_variance=0.05)
@@ -35,12 +37,12 @@ DEFAULT_KERNEL = KernelConfig(lengthscale=2.0, signal_variance=1.0,
 class TrainSettings:
     """Training hyperparameters shared by both protocol sides."""
 
-    folds: int = 5
+    folds: int = DEFAULT_FOLDS
     arch_grid: tuple = DEFAULT_ARCH_GRID
     epochs: int = DEFAULT_EPOCHS
     lr: float = DEFAULT_LR
     batch: int = DEFAULT_BATCH
-    gp_restarts: int = 5
+    gp_restarts: int = DEFAULT_RESTARTS
 
     def __post_init__(self):
         """Reject, before anything is fitted, a value that would train
@@ -169,10 +171,9 @@ def _filter_3sigma(values) -> tuple:
     return float(np.mean(vals[keep])), int(np.count_nonzero(keep))
 
 
-def _policy_aps(density, x_star, x_bar_T, threshold):
-    """Instance-level APS: mean density over the treatments the policy
-    actually adjusts; over all treatments when nothing was adjusted."""
-    adjusted = np.abs(x_star - x_bar_T) > threshold
+def _policy_aps(density, adjusted):
+    """Instance-level APS: mean density over the treatments the mask
+    ``adjusted`` marks; over all treatments when it marks none."""
     return float(np.mean(density[adjusted])) if adjusted.any() else float(np.mean(density))
 
 
@@ -191,7 +192,7 @@ def _cell_grid(variants, budgets, lambdas, step, max_iters):
     return cells
 
 
-def _score_row(val, opt_models, val_models, cells, threshold, i):
+def _score_row(val, opt_models, val_models, cells, i):
     """Optimize validation row ``i`` for every sweep cell and score it: per
     cell ``(ifee, instance APS, adjusted mask)``, or None if the search failed."""
     schema = val.schema
@@ -212,17 +213,16 @@ def _score_row(val, opt_models, val_models, cells, threshold, i):
         eff = ifee(val_models.classifier(variant), val_models.H, val_models.gps,
                    schema, x_bar, policy.x_T_star,
                    weighted=variant.needs_weighted, profile=val_profile)
-        inst_aps = _policy_aps(policy.aps_star.density, policy.x_T_star,
-                               x_bar_T, threshold)
-        adjusted = np.abs(policy.x_T_star - x_bar_T) > threshold
-        per_cell.append((eff, inst_aps, adjusted))
+        adjusted = np.abs(policy.x_T_star - x_bar_T) > ADJUST_THRESHOLD
+        per_cell.append((eff, _policy_aps(policy.aps_star.density, adjusted),
+                         adjusted))
     return per_cell
 
 
 def run_experiment(ds: Dataset, budgets, lambdas, variants, seed: int,
                    settings: TrainSettings = TrainSettings(),
-                   step: float = 0.05, max_iters: int = 300,
-                   threshold: float = ADJUST_THRESHOLD,
+                   step: float = OptimizationConfig.step,
+                   max_iters: int = OptimizationConfig.max_iters,
                    jobs: int = 1) -> ExperimentReport:
     """Full protocol: half split, two model sides, per-instance optimization.
 
@@ -236,7 +236,7 @@ def run_experiment(ds: Dataset, budgets, lambdas, variants, seed: int,
     if ds.norm_params is None:
         raise ValueError("dataset must be normalized first")
     if not budgets:
-        raise ValueError("empty budget sweep")
+        raise ValueError("empty sweep: at least one --budget is required")
     if ds.schema.n_treatments < 1:
         raise ValueError("need at least one treatment")
     variants = tuple(Variant(v) for v in variants)
@@ -248,8 +248,7 @@ def run_experiment(ds: Dataset, budgets, lambdas, variants, seed: int,
     opt_models = fit_side_models(opt_half, _derive_seed(seed, 1), settings)
     val_models = fit_side_models(val_half, _derive_seed(seed, 2), settings)
 
-    score = partial(_score_row, val_half, opt_models, val_models, cells,
-                    threshold)
+    score = partial(_score_row, val_half, opt_models, val_models, cells)
     rows = range(val_half.n)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # not at import
@@ -296,7 +295,7 @@ def run_experiment(ds: Dataset, budgets, lambdas, variants, seed: int,
         n_opt=opt_half.n,
         n_val=val_half.n,
         config={"step": step, "max_iters": max_iters,
-                "tol": OptimizationConfig.tol, "threshold": threshold,
+                "tol": TOL, "threshold": ADJUST_THRESHOLD,
                 **asdict(settings)},
     )
 
@@ -324,7 +323,6 @@ def write_sweep_csv(report: ExperimentReport, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["variant", "budget", "lambda", "metric", "value"])
         for c in report.cells:
-            writer.writerow([c.variant, repr(c.budget), repr(c.lam),
-                             "ifee", repr(c.ifee_mean)])
-            writer.writerow([c.variant, repr(c.budget), repr(c.lam),
-                             "aps", repr(c.aps_mean)])
+            for metric, value in (("ifee", c.ifee_mean), ("aps", c.aps_mean)):
+                writer.writerow([c.variant, repr(c.budget), repr(c.lam),
+                                 metric, repr(value)])

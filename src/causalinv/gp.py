@@ -9,7 +9,7 @@ density of any candidate treatment value -- the approximate propensity score
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -18,6 +18,7 @@ STD_FLOOR = 1e-6
 JITTERS = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
 TRIL_INV_LEAF = 32
 HYPER_NAMES = ("lengthscale", "signal_variance", "noise_variance")
+DEFAULT_RESTARTS = 5  # seeded starts of the hyperparameter search
 # Adam ascent of the marginal likelihood: steps for each start's pilot run,
 # steps for the best start's full run, and the step size
 PILOT_STEPS = 15
@@ -37,12 +38,12 @@ class KernelConfig:
     mean_mode: str = "constant"  # "zero" | "constant"
 
     def __post_init__(self):
-        if self.lengthscale <= 0:
-            raise ValueError("lengthscale must be positive")
-        if self.signal_variance <= 0:
-            raise ValueError("signal_variance must be positive")
-        if self.noise_variance < 0:
-            raise ValueError("noise_variance must be nonnegative")
+        for name in HYPER_NAMES:
+            value, zero_ok = getattr(self, name), name == "noise_variance"
+            if not (0 < value < np.inf or zero_ok and value == 0):  # NaN fails
+                raise ValueError(f"{name} must be "
+                                 f"{'nonnegative' if zero_ok else 'positive'} "
+                                 f"and finite, got {value}")
         if self.mean_mode not in ("zero", "constant"):
             raise ValueError(f"unknown mean_mode {self.mean_mode!r}")
 
@@ -126,17 +127,16 @@ def _tril_inv_into(L, out):
     out[h:, :h] = -out[h:, h:] @ (L[h:, :h] @ out[:h, :h])
 
 
-def _factorize(controls, resid, ls, sv, nv, sqd=None):
-    """Kernel matrix, inverse Cholesky factor, alpha and log marginal likelihood.
+def _factorize(resid, ls, sv, nv, sqd):
+    """Kernel matrix, inverse Cholesky factor, alpha and log marginal likelihood
+    of the training rows whose squared distances are ``sqd``.
 
     GPML Algorithm 2.1 (Rasmussen & Williams 2006) with the triangular solves
     done by the explicit inverse of the factor. The noise variance, floored at
     5% of the target variance during the search, bounds the condition number
     of the noisy kernel matrix, which keeps the explicit inverse accurate.
     """
-    m = controls.shape[0]
-    if sqd is None:
-        sqd = _sqdist(controls, controls)
+    m = sqd.shape[0]
     # the operations of sv * exp(-0.5 * sqd / ls^2) + nv I, in their order,
     # with one n x n array for K and one for its noisy copy
     K = -0.5 * sqd
@@ -154,11 +154,11 @@ def _factorize(controls, resid, ls, sv, nv, sqd=None):
     return K, L_inv, alpha, lml, jit
 
 
-def _lml_and_grad(controls, resid, log_theta, sqd):
+def _lml_and_grad(resid, log_theta, sqd):
     """Log marginal likelihood and its gradient in (log ls, log sv, log nv)."""
     ls, sv, nv = np.exp(log_theta)
     try:
-        K, L_inv, alpha, lml, _ = _factorize(controls, resid, ls, sv, nv, sqd)
+        K, L_inv, alpha, lml, _ = _factorize(resid, ls, sv, nv, sqd)
     except np.linalg.LinAlgError:
         return -np.inf, np.zeros(3)
     K_inv = L_inv.T @ L_inv
@@ -177,14 +177,14 @@ def _lml_and_grad(controls, resid, log_theta, sqd):
     return lml, np.array([g_ls, g_sv, g_nv])
 
 
-def _ascend(controls, resid, theta0, sqd, steps, bounds):
+def _ascend(resid, theta0, sqd, steps, bounds):
     """Adam ascent on the log marginal likelihood; best iterate visited wins."""
     theta = np.clip(theta0, bounds[:, 0], bounds[:, 1])
     best_lml, best_theta = -np.inf, theta.copy()
     m_t = np.zeros(3)
     v_t = np.zeros(3)
     for it in range(1, steps + 1):
-        lml, grad = _lml_and_grad(controls, resid, theta, sqd)
+        lml, grad = _lml_and_grad(resid, theta, sqd)
         if lml > best_lml:
             best_lml, best_theta = lml, theta.copy()
         if not np.all(np.isfinite(grad)):
@@ -196,7 +196,7 @@ def _ascend(controls, resid, theta0, sqd, steps, bounds):
         theta = theta + ASCENT_LR * mh / (np.sqrt(vh) + 1e-8)
         theta = np.clip(theta, bounds[:, 0], bounds[:, 1])
     try:  # the closing iterate needs only its value
-        lml = _factorize(controls, resid, *np.exp(theta), sqd)[3]
+        lml = _factorize(resid, *np.exp(theta), sqd)[3]
     except np.linalg.LinAlgError:
         lml = -np.inf
     if lml > best_lml:
@@ -204,7 +204,7 @@ def _ascend(controls, resid, theta0, sqd, steps, bounds):
     return best_lml, best_theta
 
 
-def _optimize_hypers(controls, resid, start, seed, restarts=5):
+def _optimize_hypers(sqd, resid, start, seed, restarts):
     """Multi-start first-order ascent of the log marginal likelihood.
 
     Every start (the given hyperparameters, a median-distance heuristic and
@@ -220,7 +220,6 @@ def _optimize_hypers(controls, resid, start, seed, restarts=5):
     would make the propensity density at training points arbitrarily peaked
     while staying flat at query points.
     """
-    sqd = _sqdist(controls, controls)
     med = np.sqrt(np.median(sqd[sqd > 0])) if np.any(sqd > 0) else 1.0
     var_t = max(float(np.var(resid)), 1e-8)
     bounds = np.log(np.array([
@@ -241,10 +240,10 @@ def _optimize_hypers(controls, resid, start, seed, restarts=5):
 
     best_lml, best_theta = -np.inf, starts[0]
     for theta0 in starts:
-        lml, theta = _ascend(controls, resid, theta0, sqd, PILOT_STEPS, bounds)
+        lml, theta = _ascend(resid, theta0, sqd, PILOT_STEPS, bounds)
         if lml > best_lml:
             best_lml, best_theta = lml, theta
-    lml, theta = _ascend(controls, resid, best_theta, sqd, FULL_STEPS, bounds)
+    lml, theta = _ascend(resid, best_theta, sqd, FULL_STEPS, bounds)
     if lml > best_lml:
         best_lml, best_theta = lml, theta
     on_bound = (best_theta <= bounds[:, 0]) | (best_theta >= bounds[:, 1])
@@ -254,7 +253,7 @@ def _optimize_hypers(controls, resid, start, seed, restarts=5):
 
 def fit_gp(controls, treatment_values, config: KernelConfig,
            optimize_hypers: bool = True, seed: int = 0,
-           restarts: int = 5) -> TreatmentGP:
+           restarts: int = DEFAULT_RESTARTS) -> TreatmentGP:
     """Fit one treatment's assignment GP on the control features.
 
     With ``optimize_hypers`` the kernel hyperparameters are moved to a
@@ -278,14 +277,15 @@ def fit_gp(controls, treatment_values, config: KernelConfig,
     resid = t - mean_const
 
     ls, sv, nv = config.lengthscale, config.signal_variance, config.noise_variance
+    sqd = _sqdist(controls, controls)
     at_bound = ()
     if optimize_hypers:
         (ls, sv, nv), at_bound = _optimize_hypers(
-            controls, resid, (ls, sv, max(nv, 1e-9)), seed=seed, restarts=restarts)
+            sqd, resid, (ls, sv, max(nv, 1e-9)), seed=seed, restarts=restarts)
         config = KernelConfig(lengthscale=float(ls), signal_variance=float(sv),
                               noise_variance=float(nv), mean_mode=config.mean_mode)
 
-    _, L_inv, alpha, lml, jit = _factorize(controls, resid, ls, sv, nv)
+    _, L_inv, alpha, lml, jit = _factorize(resid, ls, sv, nv, sqd)
     return TreatmentGP(kernel=config, train_controls=controls, train_targets=t,
                        mean_const=mean_const, alpha=alpha, chol_inv=L_inv,
                        jitter=jit, log_marginal=lml, at_bound=at_bound)
@@ -332,7 +332,7 @@ def aps(x_T, means, stds) -> np.ndarray:
     x_T = np.asarray(x_T, dtype=np.float64)
     means = np.asarray(means, dtype=np.float64)
     stds = np.asarray(stds, dtype=np.float64)
-    if np.any(stds <= 0):
+    if not np.all(stds > 0):  # also rejects NaN
         raise ValueError("predictive stds must be positive")
     return _density(x_T - means, stds)
 
@@ -359,24 +359,16 @@ def make_aps_result(x_T, means, stds) -> ApsResult:
 
 
 def gp_to_dict(gp: TreatmentGP) -> dict:
-    return {
-        "format": SERIAL_FORMAT,
-        "lengthscale": gp.kernel.lengthscale,
-        "signal_variance": gp.kernel.signal_variance,
-        "noise_variance": gp.kernel.noise_variance,
-        "mean_mode": gp.kernel.mean_mode,
-        "train_controls": gp.train_controls.tolist(),
-        "train_targets": gp.train_targets.tolist(),
-    }
+    """Model document of a GP: every :class:`KernelConfig` field and the rows."""
+    return {"format": SERIAL_FORMAT, **asdict(gp.kernel),
+            "train_controls": gp.train_controls.tolist(),
+            "train_targets": gp.train_targets.tolist()}
 
 
 def gp_from_dict(doc: dict) -> TreatmentGP:
     if doc.get("format") != SERIAL_FORMAT:
         raise ValueError(f"unsupported GP document format {doc.get('format')!r}")
-    config = KernelConfig(lengthscale=doc["lengthscale"],
-                          signal_variance=doc["signal_variance"],
-                          noise_variance=doc["noise_variance"],
-                          mean_mode=doc["mean_mode"])
+    config = KernelConfig(**{f.name: doc[f.name] for f in fields(KernelConfig)})
     # alpha and the inverse Cholesky factor are recomputed, not stored
     return fit_gp(np.asarray(doc["train_controls"], dtype=np.float64),
                   np.asarray(doc["train_targets"], dtype=np.float64),

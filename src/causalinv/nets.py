@@ -21,7 +21,7 @@ train together with the same weights each would get alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -31,12 +31,10 @@ from .gp import _density, _density_slope, aps, treatment_profile
 _clip = (np._core if hasattr(np, "_core") else np.core).umath.clip
 
 DEFAULT_ARCH_GRID = ((16,), (32,), (16, 16), (32, 16))
+DEFAULT_FOLDS = 5
 DEFAULT_EPOCHS = 400
 DEFAULT_LR = 0.05
 DEFAULT_BATCH = 32
-
-MLP_FORMAT = "causalinv-mlp-1"
-IND_FORMAT = "causalinv-indirect-1"
 
 
 def _init_layers(dims, rng):
@@ -112,6 +110,8 @@ class MlpClassifier:
     its treatments with the density it gives; a plain one ignores it.
     """
 
+    FORMAT = "causalinv-mlp-1"  # not annotated, so not a field
+
     layer_dims: tuple
     weights: list
     biases: list
@@ -136,6 +136,8 @@ class IndirectEstimator:
     One tanh hidden layer, linear outputs clipped to [0, 1]. With no indirect
     features it degenerates to an empty pass-through.
     """
+
+    FORMAT = "causalinv-indirect-1"
 
     weights: list
     biases: list
@@ -167,7 +169,7 @@ def _design(X_C, X_I, X_T, density=None):
                           axis=-1)
 
 
-def train_classifier(ds, weighted: bool, gps=None, folds: int = 5,
+def train_classifier(ds, weighted: bool, gps=None, folds: int = DEFAULT_FOLDS,
                      arch_grid=DEFAULT_ARCH_GRID, seed: int = 0,
                      epochs: int = DEFAULT_EPOCHS, lr: float = DEFAULT_LR,
                      batch: int = DEFAULT_BATCH) -> MlpClassifier:
@@ -318,49 +320,22 @@ def grad_wrt_treatments(f: MlpClassifier, H: IndirectEstimator, x_C, x_T,
     return float(p[0]), jac.T @ g[n_c:n_c + n_i] + g_w
 
 
-def classifier_to_dict(f: MlpClassifier) -> dict:
-    return {
-        "format": MLP_FORMAT,
-        "layer_dims": list(f.layer_dims),
-        "weights": [w.tolist() for w in f.weights],
-        "biases": [b.tolist() for b in f.biases],
-        "weighted": f.weighted,
-        "n_controls": f.n_controls,
-        "n_indirect": f.n_indirect,
-        "n_treatments": f.n_treatments,
-        "training_meta": f.training_meta,
-    }
+def net_to_dict(net) -> dict:
+    """Model document of a network: its class's ``FORMAT`` and every
+    dataclass field, the weight arrays as nested lists."""
+    doc = {fld.name: getattr(net, fld.name) for fld in fields(net)}
+    for name in ("weights", "biases"):
+        doc[name] = [a.tolist() for a in doc[name]]
+    return {"format": net.FORMAT, **doc}
 
 
-def classifier_from_dict(doc: dict) -> MlpClassifier:
-    if doc.get("format") != MLP_FORMAT:
-        raise ValueError(f"unsupported classifier format {doc.get('format')!r}")
-    return MlpClassifier(
-        layer_dims=tuple(doc["layer_dims"]),
-        weights=[np.asarray(w, dtype=np.float64) for w in doc["weights"]],
-        biases=[np.asarray(b, dtype=np.float64) for b in doc["biases"]],
-        weighted=doc["weighted"], n_controls=doc["n_controls"],
-        n_indirect=doc["n_indirect"], n_treatments=doc["n_treatments"],
-        training_meta=doc.get("training_meta", {}))
-
-
-def indirect_to_dict(H: IndirectEstimator) -> dict:
-    return {
-        "format": IND_FORMAT,
-        "weights": [w.tolist() for w in H.weights],
-        "biases": [b.tolist() for b in H.biases],
-        "n_controls": H.n_controls,
-        "n_treatments": H.n_treatments,
-        "n_indirect": H.n_indirect,
-        "training_meta": H.training_meta,
-    }
-
-
-def indirect_from_dict(doc: dict) -> IndirectEstimator:
-    if doc.get("format") != IND_FORMAT:
-        raise ValueError(f"unsupported estimator format {doc.get('format')!r}")
-    return IndirectEstimator(
-        weights=[np.asarray(w, dtype=np.float64) for w in doc["weights"]],
-        biases=[np.asarray(b, dtype=np.float64) for b in doc["biases"]],
-        n_controls=doc["n_controls"], n_treatments=doc["n_treatments"],
-        n_indirect=doc["n_indirect"], training_meta=doc.get("training_meta", {}))
+def net_from_dict(doc: dict, cls):
+    """The ``cls`` network of a :func:`net_to_dict` document."""
+    if doc.get("format") != cls.FORMAT:
+        raise ValueError(f"unsupported {cls.__name__} format {doc.get('format')!r}")
+    kwargs = {fld.name: doc[fld.name] for fld in fields(cls)}
+    for name in ("weights", "biases"):
+        kwargs[name] = [np.asarray(a, dtype=np.float64) for a in kwargs[name]]
+    if "layer_dims" in kwargs:
+        kwargs["layer_dims"] = tuple(kwargs["layer_dims"])
+    return cls(**kwargs)

@@ -23,7 +23,8 @@ import numpy as np
 from .gp import ApsResult, make_aps_result, treatment_profile
 from .nets import _clip, grad_wrt_treatments
 
-# consecutive iterations without a ``tol`` improvement that end a search
+# a search stops after PATIENCE iterations that improve its best by <= TOL
+TOL = 1e-7
 PATIENCE = 5
 
 
@@ -46,10 +47,11 @@ class OptimizationError(RuntimeError):
 
 @dataclass(frozen=True)
 class OptimizationConfig:
+    """One search's settings; the home of the step and max_iters defaults."""
+
     budget: float
     step: float = 0.05
     max_iters: int = 300
-    tol: float = 1e-7
     lam: float = 0.0
     variant: Variant = Variant.G
 
@@ -58,13 +60,12 @@ class OptimizationConfig:
         if not self.budget >= 0:
             raise ValueError(f"--budget must be nonnegative, got {self.budget}")
         for flag, what, value in (("--step", "step size", self.step),
-                                  ("--lambda", "lambda", self.lam),
-                                  ("tol", "tol", self.tol)):
+                                  ("--lambda", "lambda", self.lam)):
             if not (value >= 0 and np.isfinite(value)):
                 raise ValueError(f"{flag}: {what} must be nonnegative and "
                                  f"finite, got {value}")
         if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+            raise ValueError(f"--max-iters must be at least 1, got {self.max_iters}")
         object.__setattr__(self, "variant", Variant(self.variant))
 
 
@@ -160,7 +161,7 @@ def optimize(x_bar, f, H, gps, schema, cfg: OptimizationConfig,
     its derivative are refreshed at every iterate, and one pass of the
     networks gives both the iterate's objective value and the direction of
     the next step. Stops at ``max_iters`` or once the best objective has not
-    improved by ``tol`` for :data:`PATIENCE` consecutive iterations, and
+    improved by :data:`TOL` for :data:`PATIENCE` consecutive iterations, and
     returns the best-objective iterate visited.
     """
     variant = cfg.variant
@@ -190,7 +191,7 @@ def optimize(x_bar, f, H, gps, schema, cfg: OptimizationConfig,
             val += cfg.lam * float(np.add.reduce(dev * dev / two_var))
             d = d + cfg.lam * dev / var
         if trace:
-            stall = 0 if val < trace[best] - cfg.tol else stall + 1
+            stall = 0 if val < trace[best] - TOL else stall + 1
             if val < trace[best]:
                 best = len(trace)
         trace.append(val)

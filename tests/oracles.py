@@ -17,7 +17,7 @@ import numpy as np
 
 from causalinv.gp import JITTERS, SQRT_2PI, TRIL_INV_LEAF, treatment_profile
 from causalinv.nets import grad_wrt_treatments
-from causalinv.optimize import PATIENCE, OptimizationError, Variant
+from causalinv.optimize import PATIENCE, TOL, OptimizationError, Variant
 
 
 def grid_project(v, x_bar, c_up, c_down, B, l, u, n_grid=200):
@@ -351,7 +351,7 @@ def ref_optimize(x_bar, f, H, gps, schema, cfg, profile=None):
         x_T = ref_project(x_T - cfg.step * d, x_bar_T, c_up, c_down,
                           cfg.budget, l, u)
         val, d = evaluate(x_T)
-        stall = 0 if val < trace[best] - cfg.tol else stall + 1
+        stall = 0 if val < trace[best] - TOL else stall + 1
         if val < trace[best]:
             best = len(trace)
         trace.append(val)

@@ -1,12 +1,13 @@
 import csv
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 from causalinv import synth
-from causalinv.cli import _safe_name, main
+from causalinv.cli import _gp_file, main
 from causalinv.data import Dataset, denormalize, load_dataset, normalize, split_half
 from causalinv.gp import gp_from_dict
 from causalinv.optimize import OptimizationError
@@ -89,10 +90,13 @@ BAD_SEARCH = [
      "--step: step size must be nonnegative and finite, got inf"),
     (["--budget", "1", "--lambda", "nan"],
      "--lambda: lambda must be nonnegative and finite, got nan"),
+    (["--budget", "1", "--max-iters", "0"], "--max-iters must be at least 1, got 0"),
 ]
 
 
-@pytest.mark.parametrize("flags, message", BAD_SEARCH)
+@pytest.mark.parametrize("flags, message", BAD_SEARCH + [
+    (["--budget", "1", "--print-limit", "-1"],
+     "--print-limit must be at least 0, got -1")])
 def test_bad_search_setting_optimize_exit_2_before_loading(corpus, tmp_path,
                                                            monkeypatch, capsys,
                                                            flags, message):
@@ -134,7 +138,7 @@ class TestTrain:
         manifest = json.loads((trained / "manifest.json").read_text())
         assert sorted(manifest["gps"]) == sorted(manifest["treatments"])
         for name, diag in manifest["gps"].items():
-            path = trained / "models" / f"gp_{_safe_name(name)}.json"
+            path = trained / "models" / _gp_file(name)
             gp = gp_from_dict(json.loads(path.read_text()))
             assert abs(diag["log_marginal"] - gp.log_marginal) <= (
                 1e-9 * abs(gp.log_marginal))
@@ -299,6 +303,36 @@ class TestOptimize:
                             .treatment_names())) in err
         assert not (tmp_path / "t" / "policies.json").exists()
 
+    @pytest.mark.parametrize("name, key, value, flags", [
+        ("gp_goout.json", "lengthscale", float("nan"), ["--variant", "f"]),
+        ("gp_goout.json", "lengthscale", float("nan"),
+         ["--variant", "g", "--lambda", "0.1"]),
+        ("gp_Dalc.json", "noise_variance", float("inf"), ["--variant", "g"]),
+        ("indirect.json", "n_indirect", None, ["--variant", "f"]),
+        ("classifier_weighted.json", "weighted", None, ["--variant", "g"])])
+    def test_bad_model_document_named(self, corpus, trained, tmp_path, capsys,
+                                      name, key, value, flags):
+        # a non-finite hyperparameter (or, with value None, a missing field)
+        # fails at load time, naming the file and the field
+        art = tmp_path / "art"
+        shutil.copytree(trained, art)
+        path = art / "models" / name
+        doc = json.loads(path.read_text())
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+        path.write_text(json.dumps(doc))
+        csv_path, schema_path = corpus
+        out = tmp_path / "bad"
+        code = main(["optimize", "--data", csv_path, "--schema", schema_path,
+                     "--out", str(out), "--artifacts", str(art),
+                     "--budget", "1"] + flags)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert name in err and key in err
+        assert not out.exists()
+
     def test_missing_artifacts_exit_2(self, corpus, tmp_path, capsys):
         csv_path, schema_path = corpus
         code = main(["optimize", "--data", csv_path, "--schema", schema_path,
@@ -340,8 +374,7 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("flags, message", BAD_SEARCH + [
         (["--budget", "-1"], "budget must be nonnegative"),
-        (["--budget", "1", "--step", "-1"], "step size must be nonnegative"),
-        (["--budget", "1", "--max-iters", "0"], "max_iters must be at least 1")])
+        (["--budget", "1", "--step", "-1"], "step size must be nonnegative")])
     def test_bad_cell_exit_2_before_fitting(self, corpus, tmp_path,
                                             monkeypatch, capsys, flags,
                                             message):

@@ -13,14 +13,13 @@ from causalinv.experiment import (ADJUST_THRESHOLD, TrainSettings,
                                   write_sweep_csv)
 from causalinv.gp import KernelConfig, fit_gp
 from causalinv.nets import IndirectEstimator, MlpClassifier
-from causalinv.optimize import OptimizationConfig, OptimizationError, Variant
+from causalinv.optimize import TOL, OptimizationConfig, OptimizationError, Variant
 from tests.conftest import make_dataset, make_schema
 
 
 def _inst_aps(density, x_star, x_bar):
-    return _policy_aps(np.asarray(density, dtype=float),
-                       np.asarray(x_star, dtype=float),
-                       np.asarray(x_bar, dtype=float), ADJUST_THRESHOLD)
+    adjusted = np.abs(np.subtract(x_star, x_bar)) > ADJUST_THRESHOLD
+    return _policy_aps(np.asarray(density, dtype=float), adjusted)
 
 
 def _monotone_f(n_c, n_t, slope=2.5, weighted=False):
@@ -183,6 +182,11 @@ class TestRunExperiment:
                              variants=list(Variant), seed=5,
                              settings=SMALL_SETTINGS, max_iters=40)
         assert len(rep.cells) == 4
+        # the report records the search constants and the default step
+        assert rep.config["tol"] == TOL
+        assert rep.config["threshold"] == ADJUST_THRESHOLD
+        assert rep.config["step"] == OptimizationConfig.step
+        assert rep.config["max_iters"] == 40
         for c in rep.cells:
             assert c.ifee_mean == 0.0
             assert c.freq_counts == (0, 0)
@@ -261,32 +265,34 @@ class TestRunExperiment:
         assert lines[0] == "variant,budget,lambda,metric,value"
 
 
-def _threshold_sweep(ds, budget, threshold):
+def _threshold_sweep(ds, budget, threshold, monkeypatch):
+    monkeypatch.setattr("causalinv.experiment.ADJUST_THRESHOLD", threshold)
     return run_experiment(ds, budgets=[budget], lambdas=[0.5],
                           variants=["g", "f"], seed=9, settings=SMALL_SETTINGS,
-                          max_iters=40, threshold=threshold)
+                          max_iters=40)
 
 
 class TestTreatmentFrequency:
     """Per-cell ``freq_counts``: instances whose policy moves a treatment by
     more than the adjustment threshold."""
 
-    def test_no_adjustment_zero_counts(self, tiny_ds):
+    def test_no_adjustment_zero_counts(self, tiny_ds, monkeypatch):
         # at a zero budget no treatment moves, so even a zero threshold counts 0
-        rep = _threshold_sweep(tiny_ds, 0.0, 0.0)
+        rep = _threshold_sweep(tiny_ds, 0.0, 0.0, monkeypatch)
         for c in rep.cells:
             assert c.n_instances > 0
             assert c.freq_counts == (0, 0)
 
-    def test_infinite_threshold(self, tiny_ds):
-        rep = _threshold_sweep(tiny_ds, 0.4, np.inf)
+    def test_infinite_threshold(self, tiny_ds, monkeypatch):
+        rep = _threshold_sweep(tiny_ds, 0.4, np.inf, monkeypatch)
         for c in rep.cells:
             assert c.n_instances > 0
             assert c.freq_counts == (0, 0)
 
-    def test_counts(self, tiny_ds):
+    def test_counts(self, tiny_ds, monkeypatch):
         # a negative threshold counts every instance for every treatment
-        rep = _threshold_sweep(tiny_ds, 0.4, -1.0)
+        rep = _threshold_sweep(tiny_ds, 0.4, -1.0, monkeypatch)
+        assert rep.config["threshold"] == -1.0
         for c in rep.cells:
             assert c.n_instances > 0
             assert c.freq_counts == (c.n_instances, c.n_instances)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -35,6 +36,10 @@ class TestApsDensity:
         with pytest.raises(ValueError):
             aps([1.0], [1.0], [0.0])
 
+    def test_rejects_nan_std(self):
+        with pytest.raises(ValueError, match="stds must be positive"):
+            aps([0.5], [0.5], [np.nan])
+
     def test_density_bounds_over_grid(self):
         # nonzero-probability proxy: 0 < density <= peak within +-6 sigma
         rng = np.random.default_rng(1)
@@ -64,6 +69,31 @@ class TestApsGradient:
             (aps([xi + 1e-5], [m], [s])[0] - aps([xi - 1e-5], [m], [s])[0]) / 2e-5
             for xi, m, s in zip(x, mu, sd)])
         assert np.abs(grad - fd).max() < 1e-6
+
+
+class TestKernelConfig:
+    @pytest.mark.parametrize("kw, message", [
+        (dict(lengthscale=np.nan), "lengthscale must be positive and finite, got nan"),
+        (dict(lengthscale=np.inf), "lengthscale must be positive and finite, got inf"),
+        (dict(lengthscale=0.0), "lengthscale must be positive and finite, got 0.0"),
+        (dict(signal_variance=np.nan),
+         "signal_variance must be positive and finite, got nan"),
+        (dict(signal_variance=-1.0),
+         "signal_variance must be positive and finite, got -1.0"),
+        (dict(noise_variance=np.nan),
+         "noise_variance must be nonnegative and finite, got nan"),
+        (dict(noise_variance=np.inf),
+         "noise_variance must be nonnegative and finite, got inf"),
+        (dict(noise_variance=-1e-9),
+         "noise_variance must be nonnegative and finite, got -1e-09")])
+    def test_rejects_bad_hyperparameters(self, kw, message):
+        with pytest.raises(ValueError) as err:
+            KernelConfig(**{"lengthscale": 1.0, "signal_variance": 1.0,
+                            "noise_variance": 0.1, **kw})
+        assert message in str(err.value)
+
+    def test_zero_noise_is_legal(self):
+        assert KernelConfig(1.0, 1.0, 0.0).noise_variance == 0.0
 
 
 class TestFit:
@@ -185,7 +215,7 @@ class TestLogMarginalGradient:
                       "short": (0.12, 1.5, 0.3),
                       "corner": _bound_corner(X, t)}[theta]
         log_theta = np.log([ls, sv, nv])
-        lml, grad = _lml_and_grad(X, t - c, log_theta, _sqdist(X, X))
+        lml, grad = _lml_and_grad(t - c, log_theta, _sqdist(X, X))
 
         def oracle(lt):
             return dense_log_marginal(X, t, c, *np.exp(lt))
@@ -211,12 +241,12 @@ class TestBitIdenticalToReference:
     def _check(X, resid, ls, sv, nv):
         sqd = _sqdist(X, X)
         ref = ref_factorize(resid, ls, sv, nv, sqd)
-        got = _factorize(X, resid, ls, sv, nv, sqd)
+        got = _factorize(resid, ls, sv, nv, sqd)
         for a, b in zip(got, ref):  # K, L_inv, alpha, lml, jitter
             _assert_same_bits(a, b)
         with np.errstate(divide="ignore"):  # nv = 0 has log -inf
             log_theta = np.log([ls, sv, nv])
-        lml, grad = _lml_and_grad(X, resid, log_theta, sqd)
+        lml, grad = _lml_and_grad(resid, log_theta, sqd)
         lml_ref, grad_ref = ref_lml_and_grad(resid, log_theta, sqd)
         _assert_same_bits(lml, lml_ref)
         _assert_same_bits(grad, grad_ref)
@@ -286,6 +316,22 @@ class TestSerialization:
     def test_format_checked(self):
         with pytest.raises(ValueError):
             gp_from_dict({"format": "bogus"})
+
+    def test_document_holds_every_kernel_field(self):
+        gp, X, t = _toy_gp(noise=0.03)
+        doc = json.loads(json.dumps(gp_to_dict(gp)))
+        names = {f.name for f in fields(KernelConfig)}
+        assert set(doc) == {"format", "train_controls", "train_targets"} | names
+        back = gp_from_dict(doc)
+        assert back.kernel == gp.kernel
+        np.testing.assert_array_equal(back.train_controls, X)
+        np.testing.assert_array_equal(back.train_targets, t)
+
+    def test_non_finite_hyperparameter_rejected_on_load(self):
+        gp, _, _ = _toy_gp(noise=0.03)
+        doc = dict(gp_to_dict(gp), lengthscale=float("nan"))
+        with pytest.raises(ValueError, match="lengthscale must be positive"):
+            gp_from_dict(doc)
 
 
 class TestBatchConsistency:

@@ -1,12 +1,14 @@
+import json
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from causalinv.data import Dataset
 from causalinv.gp import SQRT_2PI, KernelConfig, aps, fit_gp, treatment_profile
 from causalinv.nets import (IndirectEstimator, MlpClassifier, _design,
-                            _sgd_train, classifier_from_dict, classifier_to_dict,
-                            grad_wrt_treatments, indirect_from_dict,
-                            indirect_to_dict, predict_proba, train_classifier,
+                            _sgd_train, grad_wrt_treatments, net_from_dict,
+                            net_to_dict, predict_proba, train_classifier,
                             train_indirect)
 from tests.conftest import make_dataset, make_schema
 from tests.oracles import central_diff, classifier_output, sgd_one_run
@@ -341,17 +343,47 @@ class TestWeightedTraining:
         assert 0.0 < predict_proba(f, H, x_C, x_T, profile) < 1.0
 
 
+def _json_roundtrip(net):
+    return net_from_dict(json.loads(json.dumps(net_to_dict(net))), type(net))
+
+
 class TestSerialization:
     def test_classifier_roundtrip(self):
         f = _random_classifier(2, 1, 2, seed=30, weighted=True)
-        back = classifier_from_dict(classifier_to_dict(f))
+        back = _json_roundtrip(f)
         Z = np.random.default_rng(31).random((3, 5))
         np.testing.assert_array_equal(back.forward(Z), f.forward(Z))
         assert back.weighted == f.weighted
 
     def test_indirect_roundtrip(self):
         H = _random_indirect(2, 2, 1, seed=32)
-        back = indirect_from_dict(indirect_to_dict(H))
+        back = _json_roundtrip(H)
         out1 = H.predict(np.full((1, 2), 0.3), np.full((1, 2), 0.7))
         out2 = back.predict(np.full((1, 2), 0.3), np.full((1, 2), 0.7))
         np.testing.assert_array_equal(out1, out2)
+
+    @pytest.mark.parametrize("net", [
+        _random_classifier(2, 1, 2, seed=33, weighted=True, hidden=(4, 3)),
+        _random_indirect(2, 2, 1, seed=34),
+        IndirectEstimator.passthrough(2, 2)], ids=["classifier", "indirect",
+                                                   "passthrough"])
+    def test_document_is_format_plus_every_field(self, net):
+        net.training_meta["seed"] = 35
+        doc = net_to_dict(net)
+        assert set(doc) == {"format"} | {f.name for f in fields(net)}
+        back = _json_roundtrip(net)
+        for f in fields(net):
+            mine, theirs = getattr(net, f.name), getattr(back, f.name)
+            if f.name in ("weights", "biases"):
+                assert len(theirs) == len(mine)
+                for a, b in zip(mine, theirs):
+                    assert b.dtype == np.float64
+                    np.testing.assert_array_equal(a, b)
+            else:
+                assert type(theirs) is type(mine), f.name
+                assert theirs == mine, f.name
+
+    def test_format_checked(self):
+        doc = net_to_dict(_random_indirect(2, 2, 1))
+        with pytest.raises(ValueError, match="unsupported MlpClassifier"):
+            net_from_dict(doc, MlpClassifier)

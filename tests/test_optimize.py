@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -32,7 +34,7 @@ class TestCost:
     (dict(step=np.inf), "--step: step size must be nonnegative and finite"),
     (dict(lam=np.nan), "--lambda: lambda must be nonnegative and finite"),
     (dict(lam=np.inf), "--lambda: lambda must be nonnegative and finite"),
-    (dict(tol=np.nan), "tol: tol must be nonnegative and finite")])
+    (dict(max_iters=0), "--max-iters must be at least 1, got 0")])
 def test_config_rejects_non_finite_settings(kw, message):
     # an infinite budget never binds and stays legal
     OptimizationConfig(budget=np.inf)
@@ -267,7 +269,7 @@ class TestOptimize:
         with pytest.raises(OptimizationError, match="iteration 0"):
             optimize(np.array([0.4, 0.5]), f, self.H, self.gps, self.schema, cfg)
 
-    def test_regularizer_pulls_to_assignment_mean(self):
+    def test_regularizer_pulls_to_assignment_mean(self, monkeypatch):
         # constant f' (zero weights): G iterates converge to the projection
         # of the GP predictive mean onto the feasible set
         p = 2
@@ -277,8 +279,10 @@ class TestOptimize:
         x_bar = np.array([0.3, 0.2])
         # step chosen below 2 sigma^2 / lambda so the quadratic pull iterates
         # contract instead of entering a best-iterate-guarded 2-cycle
+        # ``causalinv.optimize`` is the function; the module holds TOL
+        monkeypatch.setattr(sys.modules["causalinv.optimize"], "TOL", 1e-12)
         cfg = OptimizationConfig(budget=10.0, lam=1.0, variant=Variant.G,
-                                 step=0.01, max_iters=400, tol=1e-12)
+                                 step=0.01, max_iters=400)
         res = optimize(x_bar, f, self.H, gps, self.schema, cfg)
         means, _ = treatment_profile(gps, x_bar[:1])
         assert abs(res.x_T_star[0] - means[0]) < 5e-3
