@@ -13,7 +13,7 @@ the policies with an independently trained validation model.
 from .data import (DataError, Dataset, FeatureSchema, SchemaError, denormalize,
                    load_dataset, normalize, split_half)
 from .gp import (ApsResult, KernelConfig, TreatmentGP, aps, fit_gp,
-                 make_aps_result, predict_batch, treatment_profile)
+                 predict_batch, treatment_profile)
 from .nets import (IndirectEstimator, MlpClassifier, grad_wrt_treatments,
                    predict_proba, train_classifier, train_indirect)
 from .optimize import (OptimizationConfig, OptimizationError, PolicyResult,
@@ -30,8 +30,8 @@ __all__ = [
     "OptimizationConfig", "OptimizationError", "PolicyResult", "SchemaError",
     "SideModels", "TrainSettings", "TreatmentGP", "Variant", "aps", "cost",
     "denormalize", "fit_gp", "fit_side_models", "grad_wrt_treatments",
-    "ifee", "load_dataset", "make_aps_result", "normalize", "optimize",
-    "predict_batch", "predict_proba", "project", "run_experiment",
-    "split_half", "train_classifier", "train_indirect", "treatment_profile",
-    "write_report", "write_sweep_csv",
+    "ifee", "load_dataset", "normalize", "optimize", "predict_batch",
+    "predict_proba", "project", "run_experiment", "split_half",
+    "train_classifier", "train_indirect", "treatment_profile", "write_report",
+    "write_sweep_csv",
 ]

@@ -17,7 +17,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import fields, replace
 
 from .data import (DataError, SchemaError, denormalize, load_dataset,
                    normalize, split_half)
@@ -73,10 +73,6 @@ def _settings_from(args):
     return TrainSettings(**kwargs)
 
 
-def _load_normalized(args):
-    return normalize(load_dataset(args.data, args.schema))
-
-
 def _gp_file(treatment):
     return f"gp_{''.join(ch if ch.isalnum() else '_' for ch in treatment)}.json"
 
@@ -84,7 +80,7 @@ def _gp_file(treatment):
 def cmd_train(args) -> int:
     seed = _seed_from(args)
     settings = _settings_from(args)
-    ds = _load_normalized(args)
+    ds = normalize(load_dataset(args.data, args.schema))
     opt_half, val_half = split_half(ds, seed)
     side = fit_side_models(opt_half, _derive_seed(seed, 1), settings)
 
@@ -107,7 +103,7 @@ def cmd_train(args) -> int:
                    for key in ("arch", "cv_loss", "cv_losses")}
             for kind, f in (("weighted", side.f_weighted),
                             ("plain", side.f_plain))},
-        "settings": asdict(settings),
+        "settings": settings.record(),
         "gps": {name: {"log_marginal": gp.log_marginal, "jitter": gp.jitter,
                        "at_bound": list(gp.at_bound)}
                 for name, gp in zip(ds.schema.treatment_names(), side.gps)},
@@ -127,8 +123,20 @@ def _read_doc(path, decode=None, *args):
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         return doc if decode is None else decode(doc, *args)
-    except (KeyError, TypeError, ValueError) as exc:  # name the document
-        raise ValueError(f"{path}: {exc}") from exc
+    except (AttributeError, LookupError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc  # name the document
+
+
+def _manifest_seed(doc, names):
+    """The split seed of a manifest of models trained on the list ``names``."""
+    if doc.get("format") != MANIFEST_FORMAT:
+        raise ValueError(f"unsupported manifest format {doc.get('format')!r}")
+    if doc["treatments"] != names:
+        raise ValueError(f"the artifacts were trained on treatments "
+                         f"{doc['treatments']}, but the data has {names}")
+    if type(doc["seed"]) is not int or doc["seed"] < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {doc['seed']!r}")
+    return doc["seed"]
 
 
 def _load_artifacts(art_dir, treatments):
@@ -150,15 +158,11 @@ def cmd_optimize(args) -> int:
     if args.print_limit < 0:
         raise ValueError(f"--print-limit must be at least 0, got {args.print_limit}")
 
-    ds = _load_normalized(args)
+    ds = normalize(load_dataset(args.data, args.schema))
     art_dir = args.artifacts or args.out
-    manifest = _read_doc(os.path.join(art_dir, "manifest.json"))
-    names = ds.schema.treatment_names()
-    if manifest["treatments"] != list(names):
-        raise ValueError(f"the artifacts were trained on treatments "
-                         f"{manifest['treatments']}, but the data has "
-                         f"treatments {list(names)}")
-    _, val_half = split_half(ds, manifest["seed"])
+    names = list(ds.schema.treatment_names())
+    seed = _read_doc(os.path.join(art_dir, "manifest.json"), _manifest_seed, names)
+    _, val_half = split_half(ds, seed)
     side = _load_artifacts(art_dir, names)
     f = side.classifier(variant)
 
@@ -184,7 +188,7 @@ def cmd_optimize(args) -> int:
         x0, x1 = served.X[k, t_idx], res.x_T_star
         records.append({
             "row": i,
-            "treatments": list(names),
+            "treatments": names,
             "original": x0.tolist(),
             "optimized": x1.tolist(),
             "delta": (x1 - x0).tolist(),
@@ -219,7 +223,7 @@ def cmd_evaluate(args) -> int:
                                      or [v.value for v in Variant])]
     seed = _seed_from(args)
     settings = _settings_from(args)
-    ds = _load_normalized(args)
+    ds = normalize(load_dataset(args.data, args.schema))
     report = run_experiment(ds, budgets=budgets, lambdas=lams,
                             variants=variants, seed=seed,
                             settings=settings, step=args.step,

@@ -22,9 +22,8 @@ import numpy as np
 
 from .data import Dataset, split_half
 from .gp import DEFAULT_RESTARTS, KernelConfig, fit_gp, treatment_profile
-from .nets import (DEFAULT_ARCH_GRID, DEFAULT_BATCH, DEFAULT_EPOCHS,
-                   DEFAULT_FOLDS, DEFAULT_LR, predict_proba, train_classifier,
-                   train_indirect)
+from .nets import (BATCH, DEFAULT_ARCH_GRID, DEFAULT_EPOCHS, DEFAULT_FOLDS, LR,
+                   predict_proba, train_classifier, train_indirect)
 from .optimize import TOL, OptimizationConfig, OptimizationError, Variant, optimize
 
 # a policy adjusts a treatment that it moves by more than this
@@ -40,8 +39,6 @@ class TrainSettings:
     folds: int = DEFAULT_FOLDS
     arch_grid: tuple = DEFAULT_ARCH_GRID
     epochs: int = DEFAULT_EPOCHS
-    lr: float = DEFAULT_LR
-    batch: int = DEFAULT_BATCH
     gp_restarts: int = DEFAULT_RESTARTS
 
     def __post_init__(self):
@@ -50,12 +47,9 @@ class TrainSettings:
         the command-line flag that sets the value."""
         for flag, value, least in (("--folds", self.folds, 2),
                                    ("--epochs", self.epochs, 1),
-                                   ("--batch", self.batch, 1),
                                    ("--gp-restarts", self.gp_restarts, 0)):
             if value < least:
                 raise ValueError(f"{flag} must be at least {least}, got {value}")
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ValueError(f"--lr must be positive and finite, got {self.lr}")
         if not self.arch_grid:
             raise ValueError("--arch: the architecture grid must not be empty")
         seen = set()
@@ -66,6 +60,10 @@ class TrainSettings:
             if arch in seen:
                 raise ValueError(f"--arch {name} is given more than once")
             seen.add(arch)
+
+    def record(self) -> dict:
+        """The record of a run's settings: every field plus LR and BATCH."""
+        return {**asdict(self), "lr": LR, "batch": BATCH}
 
 
 @dataclass(frozen=True)
@@ -133,12 +131,10 @@ def fit_side_models(half: Dataset, seed: int,
         fit_gp(Xc, Xt[:, j], DEFAULT_KERNEL, optimize_hypers=True,
                seed=_derive_seed(seed, 11, j), restarts=settings.gp_restarts)
         for j in range(half.schema.n_treatments))
-    sgd = dict(epochs=settings.epochs, lr=settings.lr, batch=settings.batch)
-    H = train_indirect(half, seed=_derive_seed(seed, 13), **sgd)
-    f_w, f_p = (train_classifier(half, weighted=weighted, gps=gps,
-                                 folds=settings.folds,
-                                 arch_grid=settings.arch_grid,
-                                 seed=_derive_seed(seed, part), **sgd)
+    H = train_indirect(half, seed=_derive_seed(seed, 13), epochs=settings.epochs)
+    f_w, f_p = (train_classifier(half, weighted, gps, settings.folds,
+                                 settings.arch_grid, _derive_seed(seed, part),
+                                 settings.epochs)
                 for weighted, part in ((True, 17), (False, 19)))
     return SideModels(f_weighted=f_w, f_plain=f_p, H=H, gps=gps)
 
@@ -296,7 +292,7 @@ def run_experiment(ds: Dataset, budgets, lambdas, variants, seed: int,
         n_val=val_half.n,
         config={"step": step, "max_iters": max_iters,
                 "tol": TOL, "threshold": ADJUST_THRESHOLD,
-                **asdict(settings)},
+                **settings.record()},
     )
 
 

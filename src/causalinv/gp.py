@@ -70,10 +70,9 @@ class TreatmentGP:
 
 @dataclass(frozen=True)
 class ApsResult:
-    """Per-treatment propensity density and its gradient."""
+    """Per-treatment propensity density at a policy's treatments."""
 
     density: np.ndarray
-    density_grad: np.ndarray
 
 
 def _sqdist(A, B):
@@ -103,28 +102,23 @@ def _chol_with_jitter(K):
         "Cholesky factorization failed even with jitter 1e-4")
 
 
-def _tril_inv(L):
+def _tril_inv(L, out=None):
     """Inverse of a lower-triangular matrix by 2x2 block recursion.
 
     With L = [[A, 0], [C, D]], L^-1 = [[A^-1, 0], [-D^-1 C A^-1, D^-1]]: all
     the work above the leaves is matrix products. Every block is written in
-    place into one zeroed result, so the upper triangle is exactly zero.
+    place into one zeroed ``out``, so the upper triangle is exactly zero.
     """
-    out = np.zeros_like(L)
-    _tril_inv_into(L, out)
-    return out
-
-
-def _tril_inv_into(L, out):
-    """Write the inverse of lower-triangular ``L`` into the zeroed ``out``."""
+    out = np.zeros_like(L) if out is None else out
     n = L.shape[0]
     if n <= TRIL_INV_LEAF:
         out[...] = np.tril(np.linalg.inv(L))
-        return
+        return out
     h = n // 2
-    _tril_inv_into(L[:h, :h], out[:h, :h])
-    _tril_inv_into(L[h:, h:], out[h:, h:])
+    _tril_inv(L[:h, :h], out[:h, :h])
+    _tril_inv(L[h:, h:], out[h:, h:])
     out[h:, :h] = -out[h:, h:] @ (L[h:, :h] @ out[:h, :h])
+    return out
 
 
 def _factorize(resid, ls, sv, nv, sqd):
@@ -344,18 +338,8 @@ def _density(dev, stds):
 
 
 def _density_slope(density, dev, stds):
+    """d :func:`_density` / d x_T, from the density and ``dev = x_T - means``."""
     return -density * dev / (stds * stds)
-
-
-def make_aps_result(x_T, means, stds) -> ApsResult:
-    """Propensity density and its gradient at ``x_T`` under the predictive
-    moments ``means`` and ``stds``."""
-    x_T = np.asarray(x_T, dtype=np.float64)
-    means = np.asarray(means, dtype=np.float64)
-    stds = np.asarray(stds, dtype=np.float64)
-    density = aps(x_T, means, stds)
-    return ApsResult(density=density,
-                     density_grad=_density_slope(density, x_T - means, stds))
 
 
 def gp_to_dict(gp: TreatmentGP) -> dict:

@@ -33,8 +33,8 @@ _clip = (np._core if hasattr(np, "_core") else np.core).umath.clip
 DEFAULT_ARCH_GRID = ((16,), (32,), (16, 16), (32, 16))
 DEFAULT_FOLDS = 5
 DEFAULT_EPOCHS = 400
-DEFAULT_LR = 0.05
-DEFAULT_BATCH = 32
+LR = 0.05  # SGD step size of every network
+BATCH = 32  # SGD mini-batch size of every network
 
 
 def _init_layers(dims, rng):
@@ -95,6 +95,18 @@ def _sgd_train(X, Y, dims, seeds, epochs, lr, batch, loss):
             for f in range(len(rngs))]
 
 
+def _check_layers(net, dims):
+    """Reject weights or biases that are not finite or do not chain through
+    the layer widths ``dims``."""
+    for name, want in (("weights", list(zip(dims[1:], dims[:-1]))),
+                       ("biases", [(width,) for width in dims[1:]])):
+        got = [np.shape(a) for a in getattr(net, name)]
+        if got != want:
+            raise ValueError(f"{name} have shapes {got}, expected {want}")
+        if not all(np.isfinite(a).all() for a in getattr(net, name)):
+            raise ValueError(f"{name} hold a non-finite value")
+
+
 def _log_loss(p, y):
     p = np.clip(p, 1e-12, 1.0 - 1e-12)
     return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
@@ -121,6 +133,13 @@ class MlpClassifier:
     n_treatments: int
     training_meta: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        n_in = self.n_controls + self.n_indirect + self.n_treatments
+        if tuple(self.layer_dims) != (n_in, *self.layer_dims[1:-1], 1):
+            raise ValueError(f"layer_dims {self.layer_dims} must run from n_controls"
+                             f" + n_indirect + n_treatments = {n_in} to 1")
+        _check_layers(self, self.layer_dims)
+
     def forward(self, Z):
         """Probability of the undesirable class for each assembled input row
         of the matrix ``Z``."""
@@ -145,6 +164,11 @@ class IndirectEstimator:
     n_treatments: int
     n_indirect: int
     training_meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):  # n_controls + n_treatments in, n_indirect out
+        n_in = self.n_controls + self.n_treatments
+        _check_layers(self, (n_in, *(len(b) for b in self.biases[:-1]),
+                             self.n_indirect) if self.n_indirect else (n_in,))
 
     @classmethod
     def passthrough(cls, n_controls, n_treatments):
@@ -171,8 +195,7 @@ def _design(X_C, X_I, X_T, density=None):
 
 def train_classifier(ds, weighted: bool, gps=None, folds: int = DEFAULT_FOLDS,
                      arch_grid=DEFAULT_ARCH_GRID, seed: int = 0,
-                     epochs: int = DEFAULT_EPOCHS, lr: float = DEFAULT_LR,
-                     batch: int = DEFAULT_BATCH) -> MlpClassifier:
+                     epochs: int = DEFAULT_EPOCHS) -> MlpClassifier:
     """Cross-validated architecture selection, then a retrain on all rows."""
     arch_grid = [tuple(a) for a in arch_grid]
     if not arch_grid:
@@ -188,6 +211,8 @@ def train_classifier(ds, weighted: bool, gps=None, folds: int = DEFAULT_FOLDS,
     Z = _design(Xc, ds.indirects(), Xt, density)
     y = ds.y.astype(np.float64)
     n, p = Z.shape
+    widths = (len(ds.schema.control_idx), len(ds.schema.indirect_idx),
+              ds.schema.n_treatments)
 
     fold_ids = np.array_split(np.random.default_rng(seed).permutation(n), folds)
     train_ids = [np.delete(np.arange(n), test_idx) for test_idx in fold_ids]
@@ -204,9 +229,9 @@ def train_classifier(ds, weighted: bool, gps=None, folds: int = DEFAULT_FOLDS,
             idx = np.stack([train_ids[fi] for fi in stack])
             runs = _sgd_train(Z[idx], y[idx][..., None], dims,
                               seeds=[[seed, ai, fi] for fi in stack],
-                              epochs=epochs, lr=lr, batch=batch, loss="bce")
+                              epochs=epochs, lr=LR, batch=BATCH, loss="bce")
             for fi, (w, b) in zip(stack, runs):
-                net = MlpClassifier(dims, w, b, weighted, 0, 0, 0)
+                net = MlpClassifier(dims, w, b, weighted, *widths)
                 losses[fi] = _log_loss(net.forward(Z[fold_ids[fi]]),
                                        y[fold_ids[fi]])
         cv_losses.append(float(np.mean(losses)))
@@ -214,23 +239,19 @@ def train_classifier(ds, weighted: bool, gps=None, folds: int = DEFAULT_FOLDS,
     best = int(np.argmin(cv_losses))
     dims = (p, *arch_grid[best], 1)
     [(w, b)] = _sgd_train(Z[None], y[None, :, None], dims, seeds=[[seed, 7919]],
-                          epochs=epochs, lr=lr, batch=batch, loss="bce")
+                          epochs=epochs, lr=LR, batch=BATCH, loss="bce")
     meta = {
         "arch": list(arch_grid[best]),
         "cv_loss": cv_losses[best],
         "cv_losses": {str(list(a)): l for a, l in zip(arch_grid, cv_losses)},
-        "folds": folds, "epochs": epochs, "lr": lr, "batch": batch,
+        "folds": folds, "epochs": epochs, "lr": LR, "batch": BATCH,
         "seed": seed, "weighted": weighted,
     }
-    return MlpClassifier(layer_dims=dims, weights=w, biases=b, weighted=weighted,
-                         n_controls=len(ds.schema.control_idx),
-                         n_indirect=len(ds.schema.indirect_idx),
-                         n_treatments=ds.schema.n_treatments,
-                         training_meta=meta)
+    return MlpClassifier(dims, w, b, weighted, *widths, training_meta=meta)
 
 
-def train_indirect(ds, seed: int = 0, epochs: int = DEFAULT_EPOCHS,
-                   lr: float = DEFAULT_LR, batch: int = DEFAULT_BATCH) -> IndirectEstimator:
+def train_indirect(ds, seed: int = 0,
+                   epochs: int = DEFAULT_EPOCHS) -> IndirectEstimator:
     """MSE regression of the indirect features on (controls, treatments).
 
     Fixed architecture: one tanh hidden layer of width 2*(|C|+|T|).
@@ -244,11 +265,11 @@ def train_indirect(ds, seed: int = 0, epochs: int = DEFAULT_EPOCHS,
     Y = ds.indirects()
     dims = (n_c + n_t, 2 * (n_c + n_t), n_i)
     [(w, b)] = _sgd_train(Z[None], Y[None], dims, seeds=[seed], epochs=epochs,
-                          lr=lr, batch=batch, loss="mse")
+                          lr=LR, batch=BATCH, loss="mse")
     return IndirectEstimator(weights=w, biases=b, n_controls=n_c,
                              n_treatments=n_t, n_indirect=n_i,
-                             training_meta={"epochs": epochs, "lr": lr,
-                                            "batch": batch, "seed": seed})
+                             training_meta={"epochs": epochs, "lr": LR,
+                                            "batch": BATCH, "seed": seed})
 
 
 def _forward_row(f, H, x_C, x_T, profile, include_aps_chain=False):

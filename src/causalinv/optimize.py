@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .gp import ApsResult, make_aps_result, treatment_profile
+from .gp import ApsResult, aps, treatment_profile
 from .nets import _clip, grad_wrt_treatments
 
 # a search stops after PATIENCE iterations that improve its best by <= TOL
@@ -81,20 +81,14 @@ class PolicyResult:
     iterates: np.ndarray  # (iterations_used + 1, |T|), starting at x_bar_T
 
 
-def _spend(z, c_up, c_down):  # cost() of float arrays, without conversions
-    return np.add.reduce(c_up * np.maximum(z, 0.0) + c_down * np.maximum(-z, 0.0),
-                         axis=-1)
-
-
 def cost(z, c_up, c_down):
     """Asymmetric deviation cost: increases priced by c_up, decreases by c_down.
 
-    One deviation vector gives a float; a stack of them, one per row, gives
+    One deviation vector gives a scalar; a stack of them, one per row, gives
     an array with one cost per row.
     """
-    total = _spend(np.asarray(z, dtype=np.float64), np.asarray(c_up),
-                   np.asarray(c_down))
-    return total if total.ndim else float(total)
+    return np.add.reduce(c_up * np.maximum(z, 0.0)
+                         + c_down * np.maximum(np.negative(z), 0.0), axis=-1)
 
 
 def project(x, x_bar, c_up, c_down, B, l, u) -> np.ndarray:
@@ -122,7 +116,7 @@ def project(x, x_bar, c_up, c_down, B, l, u) -> np.ndarray:
 
     clipped = _clip(x, l, u)
     z = clipped - x_bar
-    if _spend(z, c_up, c_down) <= B:
+    if cost(z, c_up, c_down) <= B:
         return clipped
 
     d = x - x_bar
@@ -148,7 +142,7 @@ def project(x, x_bar, c_up, c_down, B, l, u) -> np.ndarray:
     kinks = kinks[np.concatenate(([True], kinks[1:] != kinks[:-1]))]
     # psi falls from about cost(clipped) > B at theta = 0 to 0 at the last
     # kink, linearly between kinks
-    psi = _spend(shrunk(kinks[:, None]) - x_bar, c_up, c_down)
+    psi = cost(shrunk(kinks[:, None]) - x_bar, c_up, c_down)
     return shrunk(np.interp(B, psi[::-1], kinks[::-1]))
 
 
@@ -205,8 +199,8 @@ def optimize(x_bar, f, H, gps, schema, cfg: OptimizationConfig,
     return PolicyResult(
         x_T_star=best_x,
         objective_trace=np.asarray(trace),
-        aps_star=make_aps_result(best_x, means, stds),
+        aps_star=ApsResult(aps(best_x, means, stds)),
         iterations_used=len(trace) - 1,
-        cost_spent=float(_spend(best_x - x_bar_T, c_up, c_down)),
+        cost_spent=float(cost(best_x - x_bar_T, c_up, c_down)),
         iterates=np.asarray(iterates),
     )

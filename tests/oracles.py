@@ -201,7 +201,8 @@ def ref_lml_and_grad(resid, log_theta, sqd):
 
 # --- the per-row policy search as first written -----------------------------
 # Each iterate of ``ref_optimize`` goes through the public ``cost``, ``aps``
-# and ``np.clip`` wrappers, builds an ``ApsResult``, and evaluates H and the
+# and ``np.clip`` wrappers, computes the propensity density and its
+# derivative, and evaluates H and the
 # classifier through their one-row Jacobian and input-gradient methods. The
 # library's search must reproduce every field of its result bit for bit.
 
@@ -329,7 +330,7 @@ def ref_optimize(x_bar, f, H, gps, schema, cfg, profile=None):
     """The policy search with the iterate loop, stall test and best-iterate
     rule of ``causalinv.optimize.optimize``, evaluated through the
     ``ref_*`` functions above. Returns the fields of a ``PolicyResult``
-    as a dict, with ``aps_star`` as (density, density_grad)."""
+    as a dict, with ``aps_star`` as the density."""
     x_bar = np.asarray(x_bar, dtype=np.float64)
     x_C = x_bar[list(schema.control_idx)]
     x_bar_T = x_bar[list(schema.treatment_idx)]
@@ -360,7 +361,7 @@ def ref_optimize(x_bar, f, H, gps, schema, cfg, profile=None):
             break
     best_x = iterates[best]
     return dict(x_T_star=best_x, objective_trace=np.asarray(trace),
-                aps_star=ref_aps_result(best_x, means, stds),
+                aps_star=ref_aps_result(best_x, means, stds)[0],
                 iterations_used=len(trace) - 1,
                 cost_spent=ref_cost(best_x - x_bar_T, c_up, c_down),
                 iterates=np.asarray(iterates))

@@ -31,9 +31,6 @@ def _train(corpus, out, seed="3"):
 BAD_TRAINING = [
     (["--folds", "1"], "--folds must be at least 2, got 1"),
     (["--epochs", "-1"], "--epochs must be at least 1, got -1"),
-    (["--batch", "0"], "--batch must be at least 1, got 0"),
-    (["--lr", "nan"], "--lr must be positive and finite, got nan"),
-    (["--lr", "0"], "--lr must be positive and finite, got 0.0"),
     (["--gp-restarts", "-2"], "--gp-restarts must be at least 0, got -2"),
     (["--arch", "0"], "--arch widths must be at least 1, got 0"),
     (["--arch", "16", "--arch", "8x0"], "--arch widths must be at least 1, got 8x0"),
@@ -136,6 +133,9 @@ class TestTrain:
 
     def test_manifest_reports_gp_diagnostics(self, trained):
         manifest = json.loads((trained / "manifest.json").read_text())
+        # the SGD constants are recorded beside the settings
+        assert manifest["settings"]["lr"] == 0.05
+        assert manifest["settings"]["batch"] == 32
         assert sorted(manifest["gps"]) == sorted(manifest["treatments"])
         for name, diag in manifest["gps"].items():
             path = trained / "models" / _gp_file(name)
@@ -152,6 +152,10 @@ class TestTrain:
                      str(tmp_path / "nope.json"), "--out", str(tmp_path / "x")])
         assert code == 2
         assert "schema not found" in capsys.readouterr().err
+
+
+def _nan_first_weight(doc):
+    doc["weights"][0][0][0] = float("nan")
 
 
 @pytest.fixture(scope="module")
@@ -331,6 +335,39 @@ class TestOptimize:
         err = capsys.readouterr().err
         assert code == 2
         assert name in err and key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, field, mutate, variant", [
+        ("manifest.json", "treatments", lambda d: d.pop("treatments"), "g"),
+        ("manifest.json", "format", lambda d: d.update(format="nope"), "g"),
+        ("manifest.json", "seed", lambda d: d.update(seed="zero"), "g"),
+        ("models/classifier_weighted.json", "weights",
+         _nan_first_weight, "g"),
+        ("models/indirect.json", "weights",
+         _nan_first_weight, "g"),
+        ("models/classifier_weighted.json", "weights",
+         lambda d: d["weights"][0].pop(), "g"),
+        ("models/classifier_plain.json", "n_controls",
+         lambda d: d.update(n_controls=d["n_controls"] + 1), "f")])
+    def test_bad_artifact_field_named(self, corpus, trained, tmp_path, capsys,
+                                      name, field, mutate, variant):
+        # a manifest field, or a network's weights or widths, that would fail
+        # or pass unnoticed later fails at load time, naming file and field
+        art = tmp_path / "art"
+        shutil.copytree(trained, art)
+        path = art / name
+        doc = json.loads(path.read_text())
+        mutate(doc)
+        path.write_text(json.dumps(doc))
+        csv_path, schema_path = corpus
+        out = tmp_path / "bad"
+        code = main(["optimize", "--data", csv_path, "--schema", schema_path,
+                     "--out", str(out), "--artifacts", str(art), "--budget",
+                     "1", "--variant", variant, "--lambda", "0.1",
+                     "--instances", "0,1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{path}: " in err and field in err
         assert not out.exists()
 
     def test_missing_artifacts_exit_2(self, corpus, tmp_path, capsys):

@@ -182,11 +182,12 @@ class TestRunExperiment:
                              variants=list(Variant), seed=5,
                              settings=SMALL_SETTINGS, max_iters=40)
         assert len(rep.cells) == 4
-        # the report records the search constants and the default step
+        # the report records the search and SGD constants and the default step
         assert rep.config["tol"] == TOL
         assert rep.config["threshold"] == ADJUST_THRESHOLD
         assert rep.config["step"] == OptimizationConfig.step
         assert rep.config["max_iters"] == 40
+        assert rep.config["lr"] == 0.05 and rep.config["batch"] == 32
         for c in rep.cells:
             assert c.ifee_mean == 0.0
             assert c.freq_counts == (0, 0)

@@ -4,9 +4,10 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from causalinv.gp import (KernelConfig, _factorize, _lml_and_grad, _sqdist,
-                          _tril_inv, aps, fit_gp, gp_from_dict, gp_to_dict,
-                          make_aps_result, predict_batch, treatment_profile)
+from causalinv.gp import (KernelConfig, _density_slope, _factorize,
+                          _lml_and_grad, _sqdist, _tril_inv, aps, fit_gp,
+                          gp_from_dict, gp_to_dict, predict_batch,
+                          treatment_profile)
 from tests.oracles import (central_diff, dense_gp_predict, dense_log_marginal,
                            ref_factorize, ref_lml_and_grad)
 
@@ -51,12 +52,18 @@ class TestApsDensity:
         assert np.all(val <= 1.0 / (np.sqrt(2 * np.pi) * sd) + 1e-15)
 
 
+def _slope(x, mu, sd):
+    """The density's derivative as the propensity chain rule computes it."""
+    x, mu, sd = (np.asarray(a, dtype=np.float64) for a in (x, mu, sd))
+    return _density_slope(aps(x, mu, sd), x - mu, sd)
+
+
 class TestApsGradient:
     def test_zero_at_mean(self):
-        assert make_aps_result([2.0], [2.0], [0.7]).density_grad[0] == 0.0
+        assert _slope([2.0], [2.0], [0.7])[0] == 0.0
 
     def test_value_one_sigma(self):
-        val = make_aps_result([3.0], [2.0], [1.0]).density_grad
+        val = _slope([3.0], [2.0], [1.0])
         assert abs(val[0] - (-0.24197072451914337)) < 1e-10
 
     def test_matches_finite_differences(self):
@@ -64,7 +71,7 @@ class TestApsGradient:
         x = rng.uniform(-2, 2, 1000)
         mu = rng.uniform(-2, 2, 1000)
         sd = rng.uniform(0.1, 1.5, 1000)
-        grad = make_aps_result(x, mu, sd).density_grad
+        grad = _slope(x, mu, sd)
         fd = np.array([
             (aps([xi + 1e-5], [m], [s])[0] - aps([xi - 1e-5], [m], [s])[0]) / 2e-5
             for xi, m, s in zip(x, mu, sd)])
@@ -160,7 +167,7 @@ class TestFit:
         assert abs(s1 - s2) < 1e-10
 
     def test_treatments_fit_independently(self):
-        # changing treatment k's data leaves treatment t's ApsResult alone
+        # changing treatment k's data leaves treatment t's density alone
         gp_t, X, _ = _toy_gp(seed=8)
         rng = np.random.default_rng(9)
         gp_k1 = fit_gp(X, rng.random(len(X)), gp_t.kernel, optimize_hypers=False)
@@ -168,10 +175,10 @@ class TestFit:
         q = X[0]
         del gp_k1, gp_k2
         (m1,), (s1,) = predict_batch(gp_t, q[None])
-        res = make_aps_result([0.3], [m1], [s1])
+        res = _slope([0.3], [m1], [s1]), aps([0.3], [m1], [s1])
         (m2,), (s2,) = predict_batch(gp_t, q[None])
-        res2 = make_aps_result([0.3], [m2], [s2])
-        np.testing.assert_array_equal(res.density, res2.density)
+        res2 = _slope([0.3], [m2], [s2]), aps([0.3], [m2], [s2])
+        np.testing.assert_array_equal(res, res2)
 
     def test_variance_floor(self):
         gp, X, _ = _toy_gp(noise=0.0)

@@ -6,10 +6,10 @@ import pytest
 
 from causalinv.data import Dataset
 from causalinv.gp import SQRT_2PI, KernelConfig, aps, fit_gp, treatment_profile
-from causalinv.nets import (IndirectEstimator, MlpClassifier, _design,
-                            _sgd_train, grad_wrt_treatments, net_from_dict,
-                            net_to_dict, predict_proba, train_classifier,
-                            train_indirect)
+from causalinv.nets import (BATCH, LR, IndirectEstimator, MlpClassifier,
+                            _design, _sgd_train, grad_wrt_treatments,
+                            net_from_dict, net_to_dict, predict_proba,
+                            train_classifier, train_indirect)
 from tests.conftest import make_dataset, make_schema
 from tests.oracles import central_diff, classifier_output, sgd_one_run
 
@@ -123,20 +123,21 @@ class TestLockstepTraining:
     def test_cv_losses_match_folds_trained_alone(self, hidden):
         # 59 rows in 5 folds: training sets of 47 and 48 rows, two stacks
         ds = make_dataset(n=59, seed=8)
-        seed, folds, kw = 3, 5, dict(epochs=15, lr=0.05, batch=10)
+        seed, folds, epochs = 3, 5, 15
         f = train_classifier(ds, weighted=False, folds=folds,
-                             arch_grid=(hidden,), seed=seed, **kw)
+                             arch_grid=(hidden,), seed=seed, epochs=epochs)
         Z = np.concatenate([ds.controls(), ds.indirects(), ds.treatments()],
                            axis=1)
         y = ds.y.astype(np.float64)
         fold_ids = np.array_split(
             np.random.default_rng(seed).permutation(ds.n), folds)
         assert {ds.n - len(t) for t in fold_ids} == {47, 48}
+        assert 47 % BATCH and 48 % BATCH  # each ends on a partial mini-batch
         losses = []
         for fi, test in enumerate(fold_ids):
             train = np.setdiff1d(np.arange(ds.n), test)
             w, b = sgd_one_run(Z[train], y[train, None], (Z.shape[1], *hidden, 1),
-                               [seed, 0, fi], loss="bce", **kw)
+                               [seed, 0, fi], epochs, LR, BATCH, "bce")
             a = Z[test]
             for W, c in zip(w[:-1], b[:-1]):
                 a = np.tanh(a @ W.T + c)
@@ -387,3 +388,29 @@ class TestSerialization:
         doc = net_to_dict(_random_indirect(2, 2, 1))
         with pytest.raises(ValueError, match="unsupported MlpClassifier"):
             net_from_dict(doc, MlpClassifier)
+
+    def test_layers_checked_on_construction(self):
+        # weights and biases must be finite and chain from the input width
+        # to the output width the count fields give
+        f = _random_classifier(2, 1, 2, seed=34)
+        H = _random_indirect(2, 2, 1, seed=35)
+        w_nan = [f.weights[0].copy(), f.weights[1]]
+        w_nan[0][0, 0] = np.nan
+        bad = [
+            (lambda: MlpClassifier(f.layer_dims, w_nan, f.biases, False, 2, 1, 2),
+             "weights hold a non-finite value"),
+            (lambda: MlpClassifier(f.layer_dims, f.weights, f.biases, False, 3, 1, 2),
+             "layer_dims .* n_controls"),
+            (lambda: MlpClassifier((5, 7, 1), f.weights, f.biases, False, 2, 1, 2),
+             "weights have shapes"),
+            (lambda: IndirectEstimator(H.weights, [H.biases[0], np.ones(2)], 2, 2, 1),
+             "biases have shapes"),
+            (lambda: IndirectEstimator([], [], 2, 2, 1), "weights have shapes"),
+            (lambda: IndirectEstimator(H.weights, H.biases, 2, 2, 0),
+             "weights have shapes"),
+            (lambda: IndirectEstimator(H.weights, [H.biases[0][:-1], H.biases[1]],
+                                       2, 2, 1), "weights have shapes")]
+        for build, message in bad:
+            with pytest.raises(ValueError, match=message):
+                build()
+        IndirectEstimator.passthrough(2, 2)  # no layers, no outputs: valid
