@@ -14,16 +14,15 @@ writes the sweep report.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import fields, replace
 
 from .data import (DataError, SchemaError, denormalize, load_dataset,
-                   normalize, split_half)
+                   normalize, read_json, split_half, write_json)
 from .experiment import (SideModels, TrainSettings, _derive_seed,
-                         fit_side_models, run_experiment, write_json,
-                         write_report, write_sweep_csv)
+                         fit_side_models, run_experiment, write_report,
+                         write_sweep_csv)
 from .gp import gp_from_dict, gp_to_dict
 from .nets import IndirectEstimator, MlpClassifier, net_from_dict, net_to_dict
 from .optimize import OptimizationConfig, OptimizationError, Variant, optimize
@@ -54,13 +53,15 @@ def _one_value(values, cast, flag, default=None):
 
 
 def _seed_from(args):
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("PROPHIT_SEED")
+    source, value = (("--seed", args.seed) if args.seed is not None else
+                     ("PROPHIT_SEED", os.environ.get("PROPHIT_SEED") or "0"))
     try:
-        return int(env) if env else 0
+        seed = int(value)
     except ValueError:
-        raise ValueError(f"PROPHIT_SEED must be an integer, got {env!r}") from None
+        raise ValueError(f"{source} must be an integer, got {value!r}") from None
+    if seed < 0:
+        raise ValueError(f"{source} must be at least 0, got {seed}")
+    return seed
 
 
 def _settings_from(args):
@@ -115,18 +116,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _read_doc(path, decode=None, *args):
-    """The JSON document at ``path``, through ``decode(doc, *args)`` if given."""
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"artifacts not found: {path}")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        return doc if decode is None else decode(doc, *args)
-    except (AttributeError, LookupError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: {exc}") from exc  # name the document
-
-
 def _manifest_seed(doc, names):
     """The split seed of a manifest of models trained on the list ``names``."""
     if doc.get("format") != MANIFEST_FORMAT:
@@ -142,9 +131,9 @@ def _manifest_seed(doc, names):
 def _load_artifacts(art_dir, treatments):
     models_dir = os.path.join(art_dir, "models")
     return SideModels(
-        **{attr: _read_doc(os.path.join(models_dir, name), net_from_dict, cls)
+        **{attr: read_json(os.path.join(models_dir, name), net_from_dict, cls)
            for name, attr, cls in NET_FILES},
-        gps=tuple(_read_doc(os.path.join(models_dir, _gp_file(t)), gp_from_dict)
+        gps=tuple(read_json(os.path.join(models_dir, _gp_file(t)), gp_from_dict)
                   for t in treatments))
 
 
@@ -161,7 +150,7 @@ def cmd_optimize(args) -> int:
     ds = normalize(load_dataset(args.data, args.schema))
     art_dir = args.artifacts or args.out
     names = list(ds.schema.treatment_names())
-    seed = _read_doc(os.path.join(art_dir, "manifest.json"), _manifest_seed, names)
+    seed = read_json(os.path.join(art_dir, "manifest.json"), _manifest_seed, names)
     _, val_half = split_half(ds, seed)
     side = _load_artifacts(art_dir, names)
     f = side.classifier(variant)

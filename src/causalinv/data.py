@@ -1,4 +1,5 @@
-"""Dataset ingestion, feature schema, normalization and the half split.
+"""Dataset ingestion, feature schema, normalization and the half split, plus
+the package's one JSON reader and one JSON writer.
 
 Columns are partitioned into three roles: controls (immutable covariates),
 indirectly changeable features (estimated downstream of the others) and
@@ -112,16 +113,33 @@ class Dataset:
         return Dataset(self.X[rows], self.y[rows], self.schema, self.norm_params)
 
 
-def _parse_schema_file(schema_path):
+def read_json(path, decode, *args):
+    """``decode(doc, *args)`` of the JSON document at ``path``.
+
+    A document that does not parse or decode raises :class:`ValueError` (or
+    the :class:`SchemaError` that ``decode`` raised) prefixed with ``path``;
+    a missing key reads ``missing field 'key'``.
+    """
     try:
-        with open(schema_path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except FileNotFoundError:
-        raise FileNotFoundError(f"schema not found: {schema_path}")
+        with open(path, "r", encoding="utf-8") as fh:
+            return decode(json.load(fh), *args)
+    except (AttributeError, LookupError, TypeError, ValueError) as exc:
+        why = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        cls = SchemaError if isinstance(exc, SchemaError) else ValueError
+        raise cls(f"{path}: {why}") from exc
+
+
+def write_json(doc, path) -> None:
+    """Write ``doc`` to ``path``: UTF-8, sorted keys, one-space indent."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=1)
+
+
+def _schema_doc(doc):
     for key in ("label", "control", "indirect", "treatment"):
-        if key not in raw:
-            raise SchemaError(f"schema file missing required key {key!r}")
-    return raw
+        if key not in doc:
+            raise SchemaError(f"missing field {key!r}")
+    return doc
 
 
 def load_dataset(path, schema_path):
@@ -132,9 +150,10 @@ def load_dataset(path, schema_path):
     k-level column (k >= 3) becomes k indicators. Role assignments, costs and
     bounds carry over from the original column to its indicator(s). A
     non-numeric or non-finite numeric cell, and a treatment value outside its
-    bounds, raise :class:`DataError` naming the value, column and row.
+    bounds, raise :class:`DataError` naming the value, column and row; so
+    does a row with more or fewer cells than the header.
     """
-    raw = _parse_schema_file(schema_path)
+    raw = read_json(schema_path, _schema_doc)
     label_col = raw["label"]
     positive = [str(v) for v in raw.get("positive_label_values", [])]
     categorical = list(raw.get("categorical", []))
@@ -145,15 +164,12 @@ def load_dataset(path, schema_path):
                 raise SchemaError(f"column {name!r} assigned to multiple roles")
             roles[name] = role
 
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise DataError(f"empty CSV: {path}")
-            rows = [row for row in reader if row]
-    except FileNotFoundError:
-        raise FileNotFoundError(f"data file not found: {path}")
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"empty CSV: {path}")
+        rows = [row for row in reader if row]
     if not rows:
         raise DataError(f"no data rows in {path}")
 
@@ -170,6 +186,9 @@ def load_dataset(path, schema_path):
     n = len(rows)
     y = np.zeros(n, dtype=np.int64)
     for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise DataError(f"row {i} of {path} has {len(row)} cells, "
+                            f"the header {len(header)}")
         val = row[col_of[label_col]].strip()
         if positive:
             y[i] = 1 if val in positive else 0

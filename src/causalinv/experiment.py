@@ -13,14 +13,13 @@ predicted probability of the undesirable class.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import asdict, dataclass, field
 from functools import partial
 
 import numpy as np
 
-from .data import Dataset, split_half
+from .data import Dataset, split_half, write_json
 from .gp import DEFAULT_RESTARTS, KernelConfig, fit_gp, treatment_profile
 from .nets import (BATCH, DEFAULT_ARCH_GRID, DEFAULT_EPOCHS, DEFAULT_FOLDS, LR,
                    predict_proba, train_classifier, train_indirect)
@@ -301,12 +300,6 @@ def report_to_dict(report: ExperimentReport) -> dict:
     for cell in doc["cells"]:
         cell["lambda"] = cell.pop("lam")
     return doc
-
-
-def write_json(doc, path) -> None:
-    """The one JSON writer of reports, manifests, models and policies."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
 
 
 def write_report(report: ExperimentReport, path) -> None:

@@ -1,7 +1,7 @@
 """Per-treatment Gaussian-process assignment models and the propensity density.
 
 Each treatment gets an independent GP regression of its observed values on the
-control features (squared-exponential kernel, constant or zero mean). The
+control features (squared-exponential kernel, constant mean). The
 reconstructed predictive distribution at a query point yields a Gaussian
 density of any candidate treatment value -- the approximate propensity score
 -- together with its analytic derivative.
@@ -30,12 +30,12 @@ SERIAL_FORMAT = "causalinv-gp-1"
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """Squared-exponential kernel hyperparameters and mean-function mode."""
+    """Squared-exponential kernel hyperparameters (constant mean)."""
 
     lengthscale: float
     signal_variance: float
     noise_variance: float
-    mean_mode: str = "constant"  # "zero" | "constant"
+    mean_mode: str = "constant"  # the only mode; kept as a GP document key
 
     def __post_init__(self):
         for name in HYPER_NAMES:
@@ -44,7 +44,7 @@ class KernelConfig:
                 raise ValueError(f"{name} must be "
                                  f"{'nonnegative' if zero_ok else 'positive'} "
                                  f"and finite, got {value}")
-        if self.mean_mode not in ("zero", "constant"):
+        if self.mean_mode != "constant":
             raise ValueError(f"unknown mean_mode {self.mean_mode!r}")
 
 
@@ -267,7 +267,7 @@ def fit_gp(controls, treatment_values, config: KernelConfig,
     if not np.all(np.isfinite(controls)) or not np.all(np.isfinite(t)):
         raise ValueError("training data must be finite")
 
-    mean_const = float(np.mean(t)) if config.mean_mode == "constant" else 0.0
+    mean_const = float(np.mean(t))
     resid = t - mean_const
 
     ls, sv, nv = config.lengthscale, config.signal_variance, config.noise_variance
@@ -277,7 +277,7 @@ def fit_gp(controls, treatment_values, config: KernelConfig,
         (ls, sv, nv), at_bound = _optimize_hypers(
             sqd, resid, (ls, sv, max(nv, 1e-9)), seed=seed, restarts=restarts)
         config = KernelConfig(lengthscale=float(ls), signal_variance=float(sv),
-                              noise_variance=float(nv), mean_mode=config.mean_mode)
+                              noise_variance=float(nv))
 
     _, L_inv, alpha, lml, jit = _factorize(resid, ls, sv, nv, sqd)
     return TreatmentGP(kernel=config, train_controls=controls, train_targets=t,

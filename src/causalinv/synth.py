@@ -15,10 +15,11 @@ default seed; the schema file is drop-in compatible with the real UCI CSV.
 from __future__ import annotations
 
 import csv
-import json
 import os
 
 import numpy as np
+
+from .data import write_json
 
 DEFAULT_SEED = 20250604
 DEFAULT_N = 649
@@ -239,9 +240,6 @@ def write_corpus(out_dir, n: int = DEFAULT_N, seed: int = DEFAULT_SEED):
     csv_path = os.path.join(out_dir, "students.csv")
     schema_path = os.path.join(out_dir, "students_schema.json")
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    with open(schema_path, "w", encoding="utf-8") as fh:
-        json.dump(corpus_schema(), fh, indent=1, sort_keys=True)
+        csv.writer(fh).writerows([header] + rows)
+    write_json(corpus_schema(), schema_path)
     return csv_path, schema_path

@@ -151,7 +151,46 @@ class TestTrain:
         code = main(["train", "--data", csv_path, "--schema",
                      str(tmp_path / "nope.json"), "--out", str(tmp_path / "x")])
         assert code == 2
-        assert "schema not found" in capsys.readouterr().err
+        assert str(tmp_path / "nope.json") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cut, message", [
+        (lambda text: text[:text.index("[") + 1], "Expecting value"),
+        (lambda text: text.replace('"label"', '"labels"'),
+         "missing field 'label'")])
+    def test_bad_schema_exit_2_naming_file(self, corpus, tmp_path, capsys,
+                                           cut, message):
+        csv_path, schema_path = corpus
+        with open(schema_path, encoding="utf-8") as fh:
+            text = fh.read()
+        bad = tmp_path / "bad_schema.json"
+        bad.write_text(cut(text), encoding="utf-8")
+        code = main(["train", "--data", csv_path, "--schema", str(bad),
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert f"error: {bad}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command, flags, env, message", [
+    ("train", ["--seed", "-1"], None, "--seed must be at least 0, got -1"),
+    ("evaluate", ["--budget", "0"], "-3",
+     "PROPHIT_SEED must be at least 0, got -3")])
+def test_negative_seed_exit_2_before_loading(corpus, tmp_path, monkeypatch,
+                                             capsys, command, flags, env,
+                                             message):
+    def no_load(*args, **kwargs):
+        raise AssertionError("data loaded")
+
+    monkeypatch.setattr("causalinv.cli.load_dataset", no_load)
+    if env is not None:
+        monkeypatch.setenv("PROPHIT_SEED", env)
+    csv_path, schema_path = corpus
+    out = tmp_path / "neg"
+    code = main([command, "--data", csv_path, "--schema", schema_path,
+                 "--out", str(out)] + flags)
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _nan_first_weight(doc):
@@ -370,12 +409,29 @@ class TestOptimize:
         assert f"{path}: " in err and field in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, key", [("manifest.json", "treatments"),
+                                           ("models/indirect.json", "n_indirect")])
+    def test_missing_field_named(self, corpus, trained, tmp_path, capsys,
+                                 name, key):
+        art = tmp_path / "art"
+        shutil.copytree(trained, art)
+        path = art / name
+        doc = json.loads(path.read_text())
+        del doc[key]
+        path.write_text(json.dumps(doc))
+        csv_path, schema_path = corpus
+        code = main(["optimize", "--data", csv_path, "--schema", schema_path,
+                     "--out", str(tmp_path / "bad"), "--artifacts", str(art),
+                     "--budget", "1", "--instances", "0"])
+        assert code == 2
+        assert f"error: {path}: missing field '{key}'" in capsys.readouterr().err
+
     def test_missing_artifacts_exit_2(self, corpus, tmp_path, capsys):
         csv_path, schema_path = corpus
         code = main(["optimize", "--data", csv_path, "--schema", schema_path,
                      "--out", str(tmp_path / "y"), "--budget", "1"])
         assert code == 2
-        assert "artifacts not found" in capsys.readouterr().err
+        assert str(tmp_path / "y" / "manifest.json") in capsys.readouterr().err
 
 
 class TestEvaluate:

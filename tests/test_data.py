@@ -1,10 +1,14 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
 import causalinv as ci
+from causalinv import synth
 from causalinv.data import DataError, SchemaError
+
+DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
 
 def _write(tmp_path, name, text):
@@ -74,8 +78,37 @@ class TestLoad:
 
     def test_missing_schema(self, tmp_path):
         csv = _write(tmp_path, "d.csv", "a,t,y\n1,2,0\n")
-        with pytest.raises(FileNotFoundError, match="schema not found"):
+        with pytest.raises(FileNotFoundError, match="nope.json"):
             ci.load_dataset(csv, str(tmp_path / "nope.json"))
+
+    def test_truncated_schema_names_file(self, tmp_path):
+        csv = _write(tmp_path, "d.csv", "a,t,y\n1,2,0\n")
+        path = _basic_schema(tmp_path)
+        text = pathlib.Path(path).read_text()
+        _write(tmp_path, "schema.json", text[:text.index(",") + 1])
+        with pytest.raises(ValueError) as err:
+            ci.load_dataset(csv, path)
+        assert str(err.value).startswith(f"{path}: Expecting property name")
+
+    def test_schema_without_label_names_file(self, tmp_path):
+        csv = _write(tmp_path, "d.csv", "a,t,y\n1,2,0\n")
+        path = _basic_schema(tmp_path)
+        doc = json.loads(pathlib.Path(path).read_text())
+        del doc["label"]
+        _write(tmp_path, "schema.json", json.dumps(doc))
+        with pytest.raises(SchemaError) as err:
+            ci.load_dataset(csv, path)
+        assert str(err.value) == f"{path}: missing field 'label'"
+
+    @pytest.mark.parametrize("row, cells", [("1,2", 2), ("1,2,0,9", 4)])
+    def test_row_width_differs_from_header(self, tmp_path, row, cells):
+        # a short row would index past its end, a long one be truncated; the
+        # blank line is skipped and does not count as a row
+        csv = _write(tmp_path, "d.csv", f"a,t,y\n1,2,0\n\n{row}\n")
+        with pytest.raises(DataError) as err:
+            ci.load_dataset(csv, _basic_schema(tmp_path))
+        assert str(err.value) == (f"row 1 of {csv} has {cells} cells, "
+                                  f"the header 3")
 
     def test_schema_column_mismatch(self, tmp_path):
         csv = _write(tmp_path, "d.csv", "a,t,y\n1,2,0\n")
@@ -113,6 +146,13 @@ class TestLoad:
         csv = _write(tmp_path, "d.csv", "a,t,y\n1,2,maybe\n")
         with pytest.raises(DataError, match="outside 0/1"):
             ci.load_dataset(csv, _basic_schema(tmp_path))
+
+
+def test_write_corpus_reproduces_shipped_corpus(tmp_path):
+    # data/ was written by write_corpus at its defaults, byte for byte
+    for path in synth.write_corpus(str(tmp_path)):
+        shipped = DATA / pathlib.Path(path).name
+        assert pathlib.Path(path).read_bytes() == shipped.read_bytes()
 
 
 class TestNormalize:

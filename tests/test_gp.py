@@ -92,7 +92,8 @@ class TestKernelConfig:
         (dict(noise_variance=np.inf),
          "noise_variance must be nonnegative and finite, got inf"),
         (dict(noise_variance=-1e-9),
-         "noise_variance must be nonnegative and finite, got -1e-09")])
+         "noise_variance must be nonnegative and finite, got -1e-09"),
+        (dict(mean_mode="zero"), "unknown mean_mode 'zero'")])
     def test_rejects_bad_hyperparameters(self, kw, message):
         with pytest.raises(ValueError) as err:
             KernelConfig(**{"lengthscale": 1.0, "signal_variance": 1.0,
@@ -122,13 +123,15 @@ class TestFit:
 
     def test_far_query_reverts_to_prior(self):
         cfg = KernelConfig(lengthscale=0.5, signal_variance=2.0,
-                           noise_variance=1e-8, mean_mode="zero")
+                           noise_variance=1e-8)
         rng = np.random.default_rng(4)
         X = rng.random((10, 2))
-        gp = fit_gp(X, rng.normal(0, 1, 10), cfg, optimize_hypers=False)
+        t = rng.normal(3.0, 1.0, 10)
+        gp = fit_gp(X, t, cfg, optimize_hypers=False)
+        assert gp.mean_const == float(np.mean(t))
         # >= 10 lengthscales away
         (mean,), (std,) = predict_batch(gp, (X[0] + 20.0)[None])
-        assert abs(mean) < 1e-3
+        assert abs(mean - gp.mean_const) < 1e-3
         assert abs(std - np.sqrt(2.0)) < 1e-3
 
     def test_predict_matches_dense_solve(self):
