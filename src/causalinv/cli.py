@@ -116,13 +116,17 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _manifest_seed(doc, names):
-    """The split seed of a manifest of models trained on the list ``names``."""
+def _manifest_seed(doc, names, n):
+    """The split seed of a manifest of models trained on the list ``names``
+    of treatments and on data of ``n`` rows."""
     if doc.get("format") != MANIFEST_FORMAT:
         raise ValueError(f"unsupported manifest format {doc.get('format')!r}")
     if doc["treatments"] != names:
         raise ValueError(f"the artifacts were trained on treatments "
                          f"{doc['treatments']}, but the data has {names}")
+    if doc["n"] != n:
+        raise ValueError(f"the artifacts were trained on data of {doc['n']!r} "
+                         f"rows, but the data has {n}")
     if type(doc["seed"]) is not int or doc["seed"] < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {doc['seed']!r}")
     return doc["seed"]
@@ -150,7 +154,8 @@ def cmd_optimize(args) -> int:
     ds = normalize(load_dataset(args.data, args.schema))
     art_dir = args.artifacts or args.out
     names = list(ds.schema.treatment_names())
-    seed = read_json(os.path.join(art_dir, "manifest.json"), _manifest_seed, names)
+    seed = read_json(os.path.join(art_dir, "manifest.json"), _manifest_seed,
+                     names, ds.n)
     _, val_half = split_half(ds, seed)
     side = _load_artifacts(art_dir, names)
     f = side.classifier(variant)

@@ -135,10 +135,32 @@ def write_json(doc, path) -> None:
         json.dump(doc, fh, sort_keys=True, indent=1)
 
 
+def _list_of(values, types) -> bool:
+    """Whether ``values`` is a list of ``types``; a bool is not a number."""
+    return isinstance(values, list) and all(
+        isinstance(v, types) and not isinstance(v, bool) for v in values)
+
+
+# each schema field's type: what the error message calls it, and its test
+SCHEMA_TYPES = {
+    "label": ("a string", lambda v: isinstance(v, str)),
+    **{key: ("a list of strings", lambda v: _list_of(v, str))
+       for key in ("control", "indirect", "treatment", "categorical")},
+    "positive_label_values": ("a list of strings or numbers",
+                              lambda v: _list_of(v, (str, int, float))),
+    **{key: ("an object of numbers", lambda v: isinstance(v, dict)
+             and _list_of(list(v.values()), (int, float)))
+       for key in ("cost_up", "cost_down", "lower", "upper")},
+}
+
+
 def _schema_doc(doc):
     for key in ("label", "control", "indirect", "treatment"):
         if key not in doc:
             raise SchemaError(f"missing field {key!r}")
+    for key, (kind, ok) in SCHEMA_TYPES.items():
+        if key in doc and not ok(doc[key]):
+            raise SchemaError(f"field {key!r} must be {kind}, got {doc[key]!r}")
     return doc
 
 

@@ -166,12 +166,6 @@ def _filter_3sigma(values) -> tuple:
     return float(np.mean(vals[keep])), int(np.count_nonzero(keep))
 
 
-def _policy_aps(density, adjusted):
-    """Instance-level APS: mean density over the treatments the mask
-    ``adjusted`` marks; over all treatments when it marks none."""
-    return float(np.mean(density[adjusted])) if adjusted.any() else float(np.mean(density))
-
-
 def _cell_grid(variants, budgets, lambdas, step, max_iters):
     """The :class:`OptimizationConfig` of each sweep cell, in deterministic
     order; lambda only varies for variant g. A bad value raises here."""
@@ -187,31 +181,23 @@ def _cell_grid(variants, budgets, lambdas, step, max_iters):
     return cells
 
 
-def _score_row(val, opt_models, val_models, cells, i):
-    """Optimize validation row ``i`` for every sweep cell and score it: per
-    cell ``(ifee, instance APS, adjusted mask)``, or None if the search failed."""
-    schema = val.schema
+def _search_row(val, opt_models, cells, i):
+    """Search validation row ``i`` for every sweep cell with the
+    optimization-side models: per cell the policy's ``(x_T_star, APS
+    density)``, or None if the search failed."""
     x_bar = val.X[i]
-    x_C = x_bar[list(schema.control_idx)]
-    x_bar_T = x_bar[list(schema.treatment_idx)]
-    opt_profile = treatment_profile(opt_models.gps, x_C)
-    val_profile = treatment_profile(val_models.gps, x_C)
-    per_cell = []
+    profile = treatment_profile(opt_models.gps,
+                                x_bar[list(val.schema.control_idx)])
+    found = []
     for cfg in cells:
-        variant = cfg.variant
         try:
-            policy = optimize(x_bar, opt_models.classifier(variant), opt_models.H,
-                              opt_models.gps, schema, cfg, profile=opt_profile)
+            policy = optimize(x_bar, opt_models.classifier(cfg.variant),
+                              opt_models.H, opt_models.gps, val.schema, cfg,
+                              profile=profile)
+            found.append((policy.x_T_star, policy.aps_star.density))
         except OptimizationError:
-            per_cell.append(None)
-            continue
-        eff = ifee(val_models.classifier(variant), val_models.H, val_models.gps,
-                   schema, x_bar, policy.x_T_star,
-                   weighted=variant.needs_weighted, profile=val_profile)
-        adjusted = np.abs(policy.x_T_star - x_bar_T) > ADJUST_THRESHOLD
-        per_cell.append((eff, _policy_aps(policy.aps_star.density, adjusted),
-                         adjusted))
-    return per_cell
+            found.append(None)
+    return found
 
 
 def run_experiment(ds: Dataset, budgets, lambdas, variants, seed: int,
@@ -221,9 +207,10 @@ def run_experiment(ds: Dataset, budgets, lambdas, variants, seed: int,
                    jobs: int = 1) -> ExperimentReport:
     """Full protocol: half split, two model sides, per-instance optimization.
 
-    Every validation-half instance is optimized with the optimization-side
-    models for every sweep cell, scored with the validation-side models, and
-    aggregated into per-cell average iFEE, filtered average APS and
+    Two steps. The search step optimizes every validation-half instance for
+    every sweep cell with the optimization-side models alone, in ``jobs``
+    processes. The scoring step then scores each cell once over its rows
+    with the validation-side models: average iFEE, filtered average APS and
     treatment-adjustment counts. Failed optimizations are excluded from the
     averages and reported per cell, never silently dropped; a cell in which
     every row failed reports NaN averages.
@@ -243,42 +230,47 @@ def run_experiment(ds: Dataset, budgets, lambdas, variants, seed: int,
     opt_models = fit_side_models(opt_half, _derive_seed(seed, 1), settings)
     val_models = fit_side_models(val_half, _derive_seed(seed, 2), settings)
 
-    score = partial(_score_row, val_half, opt_models, val_models, cells)
+    # search step: the only work mapped over rows, serially or in the pool
+    search = partial(_search_row, val_half, opt_models, cells)
     rows = range(val_half.n)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # not at import
         # one chunk per worker, so each worker unpickles the models once
         with ProcessPoolExecutor(max_workers=min(jobs, len(rows))) as ex:
-            per_row = list(ex.map(score, rows,
+            per_row = list(ex.map(search, rows,
                                   chunksize=math.ceil(len(rows) / jobs)))
     else:
-        per_row = list(map(score, rows))
+        per_row = list(map(search, rows))
 
-    n_t = ds.schema.n_treatments
+    # scoring step: each cell once, over all of its rows
+    schema = val_half.schema
+    val_profiles = [treatment_profile(val_models.gps, x[list(schema.control_idx)])
+                    for x in val_half.X]
     cell_stats = []
     for ci, cfg in enumerate(cells):
-        effs, apses = [], []
-        freq = np.zeros(n_t, dtype=np.int64)
-        failed = []
-        for i, per_cell in enumerate(per_row):
-            rec = per_cell[ci]
-            if rec is None:
-                failed.append(i)
-                continue
-            eff, inst_aps, adjusted = rec
-            effs.append(eff)
-            apses.append(inst_aps)
-            freq += adjusted
-        if effs:
+        found = [row[ci] for row in per_row]
+        ok = [i for i, policy in enumerate(found) if policy is not None]
+        f_val = val_models.classifier(cfg.variant)
+        effs = [ifee(f_val, val_models.H, val_models.gps, schema, val_half.X[i],
+                     found[i][0], weighted=cfg.variant.needs_weighted,
+                     profile=val_profiles[i]) for i in ok]
+        XT_star, density = np.reshape(
+            [found[i] for i in ok], (len(ok), 2, schema.n_treatments)).swapaxes(0, 1)
+        adjusted = np.abs(XT_star - val_half.treatments()[ok]) > ADJUST_THRESHOLD
+        # instance APS: over the adjusted treatments, or all if none is
+        over = adjusted | ~adjusted.any(axis=1, keepdims=True)
+        inst_aps = np.where(over, density, 0.0).sum(axis=1) / over.sum(axis=1)
+        if ok:
             ifee_mean = float(np.mean(effs))
-            aps_mean, kept = _filter_3sigma(apses)
+            aps_mean, kept = _filter_3sigma(inst_aps)
         else:  # every row failed: report the cell rather than abort the sweep
             ifee_mean, aps_mean, kept = float("nan"), float("nan"), 0
         cell_stats.append(CellStats(
             variant=cfg.variant.value, budget=cfg.budget, lam=cfg.lam,
             ifee_mean=ifee_mean, aps_mean=aps_mean, kept=kept,
-            n_instances=len(effs), n_failed=len(failed),
-            failed_rows=tuple(failed), freq_counts=tuple(int(c) for c in freq)))
+            n_instances=len(ok), n_failed=len(found) - len(ok),
+            failed_rows=tuple(i for i, p in enumerate(found) if p is None),
+            freq_counts=tuple(int(c) for c in adjusted.sum(axis=0))))
 
     return ExperimentReport(
         cells=tuple(cell_stats),

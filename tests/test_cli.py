@@ -156,7 +156,9 @@ class TestTrain:
     @pytest.mark.parametrize("cut, message", [
         (lambda text: text[:text.index("[") + 1], "Expecting value"),
         (lambda text: text.replace('"label"', '"labels"'),
-         "missing field 'label'")])
+         "missing field 'label'"),
+        (lambda text: text.replace('"control": [', '"control": 5, "was": ['),
+         "field 'control' must be a list of strings, got 5")])
     def test_bad_schema_exit_2_naming_file(self, corpus, tmp_path, capsys,
                                            cut, message):
         csv_path, schema_path = corpus
@@ -344,6 +346,20 @@ class TestOptimize:
             assert str(trained_on) in err
             assert str(list(load_dataset(data, schema_file).schema
                             .treatment_names())) in err
+        assert not (tmp_path / "t" / "policies.json").exists()
+
+    def test_row_count_differing_from_manifest_exit_2(self, trained, tmp_path,
+                                                      capsys):
+        # same schema and treatments, other data: the manifest's n tells
+        csv_path, schema_path = synth.write_corpus(str(tmp_path / "other"),
+                                                   n=120, seed=5)
+        code = main(["optimize", "--data", csv_path, "--schema", schema_path,
+                     "--out", str(tmp_path / "t"), "--artifacts", str(trained),
+                     "--budget", "1", "--instances", "0,1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "manifest.json" in err
+        assert "data of 80 rows, but the data has 120" in err
         assert not (tmp_path / "t" / "policies.json").exists()
 
     @pytest.mark.parametrize("name, key, value, flags", [

@@ -100,6 +100,34 @@ class TestLoad:
             ci.load_dataset(csv, path)
         assert str(err.value) == f"{path}: missing field 'label'"
 
+    @pytest.mark.parametrize("key, value, kind", [
+        ("label", 3, "a string"),
+        ("control", 5, "a list of strings"),
+        ("control", "a", "a list of strings"),
+        ("indirect", [1], "a list of strings"),
+        ("treatment", {"t": 1}, "a list of strings"),
+        ("categorical", "a", "a list of strings"),
+        ("positive_label_values", "C", "a list of strings or numbers"),
+        ("positive_label_values", [True], "a list of strings or numbers"),
+        ("cost_up", ["x"], "an object of numbers"),
+        ("cost_down", {"t": "1"}, "an object of numbers"),
+        ("lower", {"t": None}, "an object of numbers"),
+        ("upper", 10, "an object of numbers")])
+    def test_mistyped_schema_field_named(self, tmp_path, key, value, kind):
+        csv = _write(tmp_path, "d.csv", "a,t,y\n1,2,0\n")
+        path = _basic_schema(tmp_path, **{key: value})
+        with pytest.raises(SchemaError) as err:
+            ci.load_dataset(csv, path)
+        assert str(err.value) == (f"{path}: field {key!r} must be {kind}, "
+                                  f"got {value!r}")
+
+    def test_numeric_positive_label_values(self, tmp_path):
+        # UCI's G3 grade is numeric; numbers match the CSV cells as text
+        csv = _write(tmp_path, "d.csv", "a,t,y\n1,2,7\n1,3,12\n")
+        ds = ci.load_dataset(csv, _basic_schema(
+            tmp_path, positive_label_values=[7, "8"]))
+        assert ds.y.tolist() == [1, 0]
+
     @pytest.mark.parametrize("row, cells", [("1,2", 2), ("1,2,0,9", 4)])
     def test_row_width_differs_from_header(self, tmp_path, row, cells):
         # a short row would index past its end, a long one be truncated; the

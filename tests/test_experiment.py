@@ -8,18 +8,14 @@ import numpy as np
 import pytest
 
 from causalinv.experiment import (ADJUST_THRESHOLD, TrainSettings,
-                                  _cell_grid, _filter_3sigma, _policy_aps,
-                                  ifee, report_to_dict, run_experiment,
+                                  _cell_grid, _filter_3sigma, ifee,
+                                  report_to_dict, run_experiment,
                                   write_sweep_csv)
-from causalinv.gp import KernelConfig, fit_gp
+from causalinv.gp import ApsResult, KernelConfig, fit_gp
 from causalinv.nets import IndirectEstimator, MlpClassifier
-from causalinv.optimize import TOL, OptimizationConfig, OptimizationError, Variant
+from causalinv.optimize import (TOL, OptimizationConfig, OptimizationError,
+                                PolicyResult, Variant)
 from tests.conftest import make_dataset, make_schema
-
-
-def _inst_aps(density, x_star, x_bar):
-    adjusted = np.abs(np.subtract(x_star, x_bar)) > ADJUST_THRESHOLD
-    return _policy_aps(np.asarray(density, dtype=float), adjusted)
 
 
 def _monotone_f(n_c, n_t, slope=2.5, weighted=False):
@@ -93,41 +89,45 @@ class TestIfee:
 
 
 class TestAverageAps:
-    """A cell's average APS as the sweep computes it: :func:`_policy_aps`
-    per instance, then :func:`_filter_3sigma` over the instances."""
+    """A cell's average APS: the instance APS of each policy, over the
+    treatments it adjusts, then :func:`_filter_3sigma` over the instances."""
 
     def test_identical_means_all_kept(self):
-        inst = [_inst_aps([0.7, 0.7], [0.6, 0.6], [0.4, 0.4]) for _ in range(8)]
-        mean, kept = _filter_3sigma(inst)
+        mean, kept = _filter_3sigma([0.7] * 8)
         assert mean == pytest.approx(0.7)
         assert kept == 8
 
     def test_outlier_filtered(self):
         rng = np.random.default_rng(2)
-        base = 0.5 + 0.01 * rng.standard_normal(99)
-        inst = [_inst_aps([b], [0.6], [0.4]) for b in base]
-        outlier = float(np.mean(base)) + 10 * float(np.std(inst))
-        inst.append(_inst_aps([outlier], [0.6], [0.4]))
+        inst = list(0.5 + 0.01 * rng.standard_normal(99))
+        outlier = float(np.mean(inst)) + 10 * float(np.std(inst))
+        inst.append(outlier)
         assert abs(outlier - np.mean(inst)) > 3 * float(np.std(inst))
         mean, kept = _filter_3sigma(inst)
         assert kept == 99
 
     def test_single_policy(self):
-        mean, kept = _filter_3sigma([_inst_aps([0.41, 0.43], [0.6, 0.6],
-                                               [0.4, 0.4])])
+        mean, kept = _filter_3sigma([0.42])
         assert mean == pytest.approx(0.42)
         assert kept == 1
-
-    def test_adjusted_treatments_only(self):
-        # only the moved coordinate's density enters the instance mean
-        assert _inst_aps([0.9, 0.1], [0.6, 0.4], [0.4, 0.4]) == pytest.approx(0.9)
-
-    def test_empty_policy_falls_back_to_all(self):
-        assert _inst_aps([0.9, 0.1], [0.4, 0.4], [0.4, 0.4]) == pytest.approx(0.5)
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             _filter_3sigma([])
+
+    def test_adjusted_treatments_only(self, tiny_ds, monkeypatch):
+        # only the moved treatment's density enters the instance mean
+        cell, = _fixed_policy_sweep(tiny_ds, [0.2, 0.0], [0.9, 0.1],
+                                    monkeypatch).cells
+        assert cell.aps_mean == pytest.approx(0.9)
+        assert cell.freq_counts == (cell.n_instances, 0)
+
+    def test_empty_policy_falls_back_to_all(self, tiny_ds, monkeypatch):
+        # the fallback averages every treatment but counts none as adjusted
+        cell, = _fixed_policy_sweep(tiny_ds, [0.0, 0.0], [0.9, 0.1],
+                                    monkeypatch).cells
+        assert cell.aps_mean == pytest.approx(0.5)
+        assert cell.freq_counts == (0, 0)
 
 
 class TestCellGrid:
@@ -271,6 +271,19 @@ def _threshold_sweep(ds, budget, threshold, monkeypatch):
     return run_experiment(ds, budgets=[budget], lambdas=[0.5],
                           variants=["g", "f"], seed=9, settings=SMALL_SETTINGS,
                           max_iters=40)
+
+
+def _fixed_policy_sweep(ds, move, density, monkeypatch):
+    """A sweep whose every search moves the row's treatments by ``move`` and
+    reports the APS ``density``."""
+    def fixed(x_bar, f, H, gps, schema, cfg, profile=None):
+        x_T = x_bar[list(schema.treatment_idx)]
+        return PolicyResult(x_T + move, np.zeros(1), ApsResult(np.array(density)),
+                            0, 0.0, x_T[None, :])
+
+    monkeypatch.setattr("causalinv.experiment.optimize", fixed)
+    return run_experiment(ds, budgets=[1.0], lambdas=[0.0], variants=["f"],
+                          seed=9, settings=SMALL_SETTINGS)
 
 
 class TestTreatmentFrequency:

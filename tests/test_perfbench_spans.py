@@ -2,13 +2,15 @@
 traced run wraps functions by module and name and its hooks read some of their
 arguments by parameter name, and its sweep workload counts and keeps every
 ``optimize`` call that ``causalinv evaluate`` makes. These checks read
-``perfbench/spans.py`` as it stands and fail when a change to the package
-would break either run; the last one runs ``perfbench/selftest.py``, which
-calls the package the way the benchmark's output checks do."""
+``perfbench/spans.py`` and ``perfbench/run.py`` as they stand and fail when a
+change to the package would break either run; the last one runs
+``perfbench/selftest.py``, which calls the package the way the benchmark's
+output checks do."""
 
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -16,7 +18,8 @@ import sys
 import numpy as np
 import pytest
 
-from causalinv.cli import build_parser, cmd_evaluate
+from causalinv import synth
+from causalinv.cli import build_parser, cmd_evaluate, main
 from causalinv.experiment import (TrainSettings, fit_side_models, ifee,
                                   run_experiment)
 from causalinv.gp import treatment_profile
@@ -106,6 +109,41 @@ def test_ifee_scores_one_row(tiny):
     before = predict_proba(side.f_weighted, side.H, x_C, x_bar_T, profile)
     after = predict_proba(side.f_weighted, side.H, x_C, x_star, profile)
     assert isinstance(eff, float) and abs(eff - (before - after)) < 1e-12
+
+
+def test_traced_run_reports_every_layer_metric(tmp_path, monkeypatch):
+    # perfbench/run.py's own LayerTrace around train, optimize and evaluate:
+    # every hook it installs fires on the package's real calls, and the
+    # metrics it derives are exactly BENCHMARK.json's per-layer list
+    monkeypatch.setattr(sys, "path", [PERFBENCH] + sys.path)
+    environ = set(os.environ)
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", os.path.join(PERFBENCH, "run.py"))
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    for var in set(os.environ) - environ:  # run.py pins BLAS threads
+        monkeypatch.delenv(var)
+    for name in ("checks", "spans"):  # perfbench's modules, named generically
+        sys.modules.pop(name, None)
+    csv_path, schema_path = synth.write_corpus(str(tmp_path / "corpus"), n=40)
+    data = ["--data", csv_path, "--schema", schema_path,
+            "--out", str(tmp_path / "out")]
+    training = ["--gp-restarts", "0", "--folds", "2", "--epochs", "5",
+                "--arch", "4"]
+    search = ["--budget", "1", "--max-iters", "10"]
+    trace = run.LayerTrace()
+    trace.start()
+    try:
+        assert main(["train", *data, *training]) == 0
+        assert main(["optimize", *data, *search, "--instances", "0,1"]) == 0
+        assert main(["evaluate", *data, *training, "--budget", "0", *search,
+                     "--jobs", "1"]) == 0
+    finally:
+        trace.stop()
+    with open(os.path.join(PERFBENCH, "..", "BENCHMARK.json"),
+              encoding="utf-8") as fh:
+        per_layer = {m["name"] for m in json.load(fh)["per_layer"]}
+    assert set(trace.metrics([0.0])) == per_layer
 
 
 def test_benchmark_selftest_passes():
