@@ -164,6 +164,14 @@ def _schema_doc(doc):
     return doc
 
 
+def _as_float(text):
+    """The number a cell's text spells, or None."""
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
 def load_dataset(path, schema_path):
     """Read a CSV plus schema JSON into a :class:`Dataset`.
 
@@ -177,7 +185,10 @@ def load_dataset(path, schema_path):
     """
     raw = read_json(schema_path, _schema_doc)
     label_col = raw["label"]
-    positive = [str(v) for v in raw.get("positive_label_values", [])]
+    positive = raw.get("positive_label_values", [])
+    # a string entry matches a label cell's text, a number its value
+    positive_text = {v for v in positive if isinstance(v, str)}
+    positive_value = {float(v) for v in positive if not isinstance(v, str)}
     categorical = list(raw.get("categorical", []))
     roles = {}
     for role in ("control", "indirect", "treatment"):
@@ -213,12 +224,16 @@ def load_dataset(path, schema_path):
                             f"the header {len(header)}")
         val = row[col_of[label_col]].strip()
         if positive:
-            y[i] = 1 if val in positive else 0
+            y[i] = (val in positive_text or bool(positive_value)
+                    and _as_float(val) in positive_value)
         elif val in ("0", "1"):
             y[i] = int(val)
         else:
             raise DataError(f"label {val!r} in row {i} outside 0/1 mapping "
                             "and no positive_label_values given")
+    if positive and not y.any():
+        raise DataError(f"positive_label_values {positive!r} match no cell of "
+                        f"label column {label_col!r}")
 
     # Expand columns in schema order (original column order, indicators in place).
     feature_cols = [name for name in header if name in roles]

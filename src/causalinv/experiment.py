@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from functools import partial
 
@@ -120,21 +121,85 @@ def _check_folds(settings: TrainSettings, *halves: Dataset) -> None:
                          f"training half, got {settings.folds}")
 
 
+def _reply(fn, conn):
+    """Body of a forked child: send ``(True, fn())`` or ``(False, error)``."""
+    try:
+        reply = (True, fn())
+    except BaseException as exc:  # re-raised in the parent
+        reply = (False, exc)
+    conn.send(reply)
+    conn.close()
+
+
+@contextmanager
+def _forked(fn):
+    """Start ``fn()`` in a child forked now and yield a function that waits
+    for its result, re-raising the child's exception with its own type.
+    Where fork is unavailable, or in a daemonic process, which may not start
+    children (a pool worker), the yielded function is ``fn`` itself, run
+    when it is called. The child never outlives the block: it is joined, and
+    terminated first if the block raises. Fork rather than spawn: the child
+    starts with the package and the data already in memory, and nothing but
+    the result is pickled."""
+    import multiprocessing  # not at import: only a fit starts a child
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        yield fn
+        return
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_reply, args=(fn, send), daemon=True)
+    child.start()
+    send.close()
+
+    def result():
+        try:
+            ok, value = receive.recv()
+        except EOFError:
+            child.join()
+            raise RuntimeError(f"the forked fit exited with code "
+                               f"{child.exitcode} without a result") from None
+        if not ok:
+            raise value
+        return value
+
+    try:
+        yield result
+    except BaseException:
+        child.terminate()
+        raise
+    finally:
+        child.join()
+        receive.close()
+
+
 def fit_side_models(half: Dataset, seed: int,
                     settings: TrainSettings = TrainSettings()) -> SideModels:
-    """Fit GPs, both classifiers and the indirect estimator on one half."""
+    """Fit GPs, both classifiers and the indirect estimator on one half.
+
+    The plain classifier reads no other fitted model, so it trains in a
+    forked child while this process fits the GPs, H and the weighted
+    classifier. Each fit draws from its own derived seed, so the models are
+    the ones a single process fits.
+    """
     _check_folds(settings, half)
-    Xc = half.controls()
-    Xt = half.treatments()
-    gps = tuple(
-        fit_gp(Xc, Xt[:, j], DEFAULT_KERNEL, optimize_hypers=True,
-               seed=_derive_seed(seed, 11, j), restarts=settings.gp_restarts)
-        for j in range(half.schema.n_treatments))
-    H = train_indirect(half, seed=_derive_seed(seed, 13), epochs=settings.epochs)
-    f_w, f_p = (train_classifier(half, weighted, gps, settings.folds,
-                                 settings.arch_grid, _derive_seed(seed, part),
-                                 settings.epochs)
-                for weighted, part in ((True, 17), (False, 19)))
+
+    def classifier(weighted, gps, part):
+        return train_classifier(half, weighted, gps, settings.folds,
+                                settings.arch_grid, _derive_seed(seed, part),
+                                settings.epochs)
+
+    with _forked(partial(classifier, False, None, 19)) as plain:
+        Xc = half.controls()
+        Xt = half.treatments()
+        gps = tuple(
+            fit_gp(Xc, Xt[:, j], DEFAULT_KERNEL, optimize_hypers=True,
+                   seed=_derive_seed(seed, 11, j), restarts=settings.gp_restarts)
+            for j in range(half.schema.n_treatments))
+        H = train_indirect(half, seed=_derive_seed(seed, 13),
+                           epochs=settings.epochs)
+        f_w = classifier(True, gps, 17)
+        f_p = plain()
     return SideModels(f_weighted=f_w, f_plain=f_p, H=H, gps=gps)
 
 
@@ -184,19 +249,25 @@ def _cell_grid(variants, budgets, lambdas, step, max_iters):
 def _search_row(val, opt_models, cells, i):
     """Search validation row ``i`` for every sweep cell with the
     optimization-side models: per cell the policy's ``(x_T_star, APS
-    density)``, or None if the search failed."""
+    density)``, or None if the search failed. Each (variant, lambda)
+    column's budgets are searched from the largest down, so that a search
+    can reuse the larger budget's one when that never binds."""
     x_bar = val.X[i]
     profile = treatment_profile(opt_models.gps,
                                 x_bar[list(val.schema.control_idx)])
-    found = []
-    for cfg in cells:
+    found = [None] * len(cells)
+    wider = {}  # (variant, lambda): the column's last successful search
+    for ci in sorted(range(len(cells)), key=lambda ci: -cells[ci].budget):
+        cfg = cells[ci]
+        column = (cfg.variant, cfg.lam)
         try:
             policy = optimize(x_bar, opt_models.classifier(cfg.variant),
                               opt_models.H, opt_models.gps, val.schema, cfg,
-                              profile=profile)
-            found.append((policy.x_T_star, policy.aps_star.density))
+                              profile=profile, reuse=wider.get(column))
         except OptimizationError:
-            found.append(None)
+            continue
+        wider[column] = policy
+        found[ci] = (policy.x_T_star, policy.aps_star.density)
     return found
 
 

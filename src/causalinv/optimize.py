@@ -15,7 +15,7 @@ quadratic pull toward each treatment's expected assignment value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -79,6 +79,7 @@ class PolicyResult:
     iterations_used: int
     cost_spent: float
     iterates: np.ndarray  # (iterations_used + 1, |T|), starting at x_bar_T
+    cfg: OptimizationConfig | None = None  # the search's settings
 
 
 def cost(z, c_up, c_down):
@@ -147,7 +148,7 @@ def project(x, x_bar, c_up, c_down, B, l, u) -> np.ndarray:
 
 
 def optimize(x_bar, f, H, gps, schema, cfg: OptimizationConfig,
-             profile=None) -> PolicyResult:
+             profile=None, reuse: PolicyResult | None = None) -> PolicyResult:
     """Projected gradient descent from the instance's current treatments.
 
     The assignment GPs' predictive moments depend only on the controls and are
@@ -157,6 +158,14 @@ def optimize(x_bar, f, H, gps, schema, cfg: OptimizationConfig,
     the next step. Stops at ``max_iters`` or once the best objective has not
     improved by :data:`TOL` for :data:`PATIENCE` consecutive iterations, and
     returns the best-objective iterate visited.
+
+    ``reuse`` may be the same row's search, with the same models and settings
+    but a larger budget B'. If every one of its iterates costs at most
+    ``cfg.budget``, it is returned unchanged: ``project`` returned each of
+    them as the clipped point, as it does at this budget too, so this search
+    would take the same path. A binding iterate costs B' only to within
+    about 1e-12 * max(1, B'), so B' must exceed this budget by more than
+    1e-9 * max(1, B').
     """
     variant = cfg.variant
     if variant.needs_weighted != f.weighted:
@@ -170,6 +179,14 @@ def optimize(x_bar, f, H, gps, schema, cfg: OptimizationConfig,
                              else profile)
     c_up, c_down, l, u = (np.asarray(a, dtype=np.float64) for a in (
         schema.cost_up, schema.cost_down, schema.lower, schema.upper))
+    if reuse is not None:
+        if reuse.cfg is None or replace(reuse.cfg, budget=cfg.budget) != cfg:
+            raise ValueError("reuse must be a search with the same variant, "
+                             "step, max_iters and lambda")
+        B, B_reuse = cfg.budget, reuse.cfg.budget
+        if (B_reuse > B + 1e-9 * max(1.0, B_reuse)
+                and cost(reuse.iterates - x_bar_T, c_up, c_down).max() <= B):
+            return reuse
     chain = variant in (Variant.FPRIME_OPT, Variant.G)
     # g's pull adds lam * sum((x_T - means)^2 / (2 var)) and its gradient
     pull, var, two_var = variant is Variant.G, stds * stds, 2.0 * stds * stds
@@ -203,4 +220,5 @@ def optimize(x_bar, f, H, gps, schema, cfg: OptimizationConfig,
         iterations_used=len(trace) - 1,
         cost_spent=float(cost(best_x - x_bar_T, c_up, c_down)),
         iterates=np.asarray(iterates),
+        cfg=cfg,
     )

@@ -122,11 +122,34 @@ class TestLoad:
                                   f"got {value!r}")
 
     def test_numeric_positive_label_values(self, tmp_path):
-        # UCI's G3 grade is numeric; numbers match the CSV cells as text
+        # UCI's G3 grade is numeric; a number matches a cell by its value
         csv = _write(tmp_path, "d.csv", "a,t,y\n1,2,7\n1,3,12\n")
         ds = ci.load_dataset(csv, _basic_schema(
             tmp_path, positive_label_values=[7, "8"]))
         assert ds.y.tolist() == [1, 0]
+
+    @pytest.mark.parametrize("positive, labels", [
+        ([7.0], [1, 0, 0, 1]),     # a float matches an integer cell
+        ([12], [0, 1, 0, 0]),
+        (["7"], [1, 0, 0, 0]),     # a string matches the cell's text only
+        (["07", 12.0], [0, 1, 0, 1]),
+        ([7, "x"], [1, 0, 0, 1])])
+    def test_positive_label_numbers_match_by_value(self, tmp_path, positive,
+                                                   labels):
+        csv = _write(tmp_path, "d.csv", "a,t,y\n1,2,7\n1,3,12\n1,4,x7\n1,5,07\n")
+        ds = ci.load_dataset(csv, _basic_schema(
+            tmp_path, positive_label_values=positive))
+        assert ds.y.tolist() == labels
+
+    @pytest.mark.parametrize("positive", [[8], [7.5], ["7.0"]])
+    def test_positive_label_values_matching_no_cell_named(self, tmp_path,
+                                                          positive):
+        csv = _write(tmp_path, "d.csv", "a,t,y\n1,2,7\n1,3,12\n")
+        with pytest.raises(DataError) as err:
+            ci.load_dataset(csv, _basic_schema(
+                tmp_path, positive_label_values=positive))
+        assert str(err.value) == (f"positive_label_values {positive!r} match "
+                                  f"no cell of label column 'y'")
 
     @pytest.mark.parametrize("row, cells", [("1,2", 2), ("1,2,0,9", 4)])
     def test_row_width_differs_from_header(self, tmp_path, row, cells):

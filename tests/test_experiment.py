@@ -1,18 +1,23 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from causalinv.experiment import (ADJUST_THRESHOLD, TrainSettings,
-                                  _cell_grid, _filter_3sigma, ifee,
+import causalinv.experiment as experiment
+from causalinv.experiment import (ADJUST_THRESHOLD, DEFAULT_KERNEL,
+                                  TrainSettings, _cell_grid, _derive_seed,
+                                  _filter_3sigma, fit_side_models, ifee,
                                   report_to_dict, run_experiment,
                                   write_sweep_csv)
-from causalinv.gp import ApsResult, KernelConfig, fit_gp
-from causalinv.nets import IndirectEstimator, MlpClassifier
+from causalinv.gp import ApsResult, KernelConfig, fit_gp, gp_to_dict
+from causalinv.nets import (IndirectEstimator, MlpClassifier, net_to_dict,
+                            train_classifier, train_indirect)
 from causalinv.optimize import (TOL, OptimizationConfig, OptimizationError,
                                 PolicyResult, Variant)
 from tests.conftest import make_dataset, make_schema
@@ -159,8 +164,6 @@ def test_empty_arch_grid_rejected():
 
 def test_folds_checked_against_both_halves_before_fitting(monkeypatch):
     # 37 rows split 19/18: 19 folds fit the first half, not the second
-    import causalinv.experiment as experiment
-
     def no_fit(*args, **kwargs):
         raise AssertionError("fit_gp called")
 
@@ -202,17 +205,18 @@ class TestRunExperiment:
                json.dumps(report_to_dict(r2), sort_keys=True)
 
     def test_cell_where_every_row_fails_is_reported(self, tiny_ds, monkeypatch):
-        import causalinv.experiment as experiment
         kw = dict(budgets=[0.0, 0.4], lambdas=[0.5],
                   variants=["g", "fprime-noopt", "f"], seed=9,
                   settings=SMALL_SETTINGS, max_iters=40)
         clean = run_experiment(tiny_ds, **kw)
         real = experiment.optimize
 
-        def fail_fprime(x_bar, f, H, gps, schema, cfg, profile=None):
+        def fail_fprime(x_bar, f, H, gps, schema, cfg, profile=None,
+                        reuse=None):
             if cfg.variant is Variant.FPRIME_NOOPT:
                 raise OptimizationError("forced failure")
-            return real(x_bar, f, H, gps, schema, cfg, profile=profile)
+            return real(x_bar, f, H, gps, schema, cfg, profile=profile,
+                        reuse=reuse)
 
         monkeypatch.setattr(experiment, "optimize", fail_fprime)
         rep = run_experiment(tiny_ds, **kw)
@@ -226,6 +230,30 @@ class TestRunExperiment:
             assert cell.failed_rows == tuple(range(rep.n_val))
             assert np.isnan(cell.ifee_mean) and np.isnan(cell.aps_mean)
             assert cell.freq_counts == (0, 0)
+
+    def test_reuse_changes_no_report_byte(self, tiny_ds, monkeypatch):
+        # each column's budgets run from the largest down, and a search that
+        # reuses the larger budget's gives the report of fresh searches
+        kw = dict(budgets=[0.0, 0.4, 10.0], lambdas=[0.0, 0.5],
+                  variants=["g", "f"], seed=9, settings=SMALL_SETTINGS,
+                  max_iters=40)
+        real = experiment.optimize
+        reused = []
+
+        def counted(*args, reuse=None, **kwargs):
+            res = real(*args, reuse=reuse, **kwargs)
+            reused.append(res is reuse)
+            return res
+
+        def fresh(*args, reuse=None, **kwargs):
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "optimize", counted)
+        rep = run_experiment(tiny_ds, **kw)
+        monkeypatch.setattr(experiment, "optimize", fresh)
+        ref = run_experiment(tiny_ds, **kw)
+        assert len(reused) == len(rep.cells) * rep.n_val and any(reused)
+        assert json.dumps(report_to_dict(rep)) == json.dumps(report_to_dict(ref))
 
     def test_requires_normalized(self, tiny_ds):
         from causalinv.data import Dataset
@@ -266,6 +294,94 @@ class TestRunExperiment:
         assert lines[0] == "variant,budget,lambda,metric,value"
 
 
+class ChildFitError(LookupError):
+    """Raised by a classifier fit in the forked child."""
+
+
+def _model_documents(side):
+    nets = [net_to_dict(net) for net in (side.f_weighted, side.f_plain, side.H)]
+    gps = [gp_to_dict(gp) for gp in side.gps]
+    return (json.dumps([nets, gps], sort_keys=True),
+            [gp.alpha.tobytes() for gp in side.gps])
+
+
+class TestFitSideModels:
+    """The plain classifier trains in a forked child while the parent fits
+    the GPs, H and the weighted classifier."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        assert multiprocessing.active_children() == []
+
+    def test_models_match_direct_fits(self, tiny_ds):
+        seed, st = 4, SMALL_SETTINGS
+        Xc, Xt = tiny_ds.controls(), tiny_ds.treatments()
+        gps = tuple(fit_gp(Xc, Xt[:, j], DEFAULT_KERNEL, optimize_hypers=True,
+                           seed=_derive_seed(seed, 11, j),
+                           restarts=st.gp_restarts) for j in range(2))
+        f_w, f_p = (train_classifier(tiny_ds, weighted, gps, st.folds,
+                                     st.arch_grid, _derive_seed(seed, part),
+                                     st.epochs)
+                    for weighted, part in ((True, 17), (False, 19)))
+        H = train_indirect(tiny_ds, seed=_derive_seed(seed, 13),
+                           epochs=st.epochs)
+        direct = experiment.SideModels(f_w, f_p, H, gps)
+        assert (_model_documents(fit_side_models(tiny_ds, seed, st))
+                == _model_documents(direct))
+
+    @pytest.mark.parametrize("where", ["no fork", "pool worker"])
+    def test_without_child_same_models(self, tiny_ds, monkeypatch, where):
+        forked = fit_side_models(tiny_ds, 4, SMALL_SETTINGS)
+
+        def no_context(*args):
+            raise AssertionError("a child was started")
+
+        if where == "no fork":
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                                lambda: ["spawn"])
+        else:  # a daemonic process may not start children
+            monkeypatch.setattr(multiprocessing.current_process(), "daemon",
+                                True)
+        monkeypatch.setattr(multiprocessing, "get_context", no_context)
+        assert (_model_documents(fit_side_models(tiny_ds, 4, SMALL_SETTINGS))
+                == _model_documents(forked))
+
+    def _plain_fit(self, monkeypatch, body):
+        """Replace the plain classifier's fit by ``body()``."""
+        real = experiment.train_classifier
+
+        def fit(ds, weighted, *args):
+            return real(ds, weighted, *args) if weighted else body()
+
+        monkeypatch.setattr(experiment, "train_classifier", fit)
+
+    def test_child_error_keeps_its_type(self, tiny_ds, monkeypatch):
+        def fail():
+            raise ChildFitError(f"plain fit failed in process {os.getpid()}")
+
+        self._plain_fit(monkeypatch, fail)
+        with pytest.raises(ChildFitError, match="plain fit failed") as err:
+            fit_side_models(tiny_ds, 4, SMALL_SETTINGS)
+        assert f"process {os.getpid()}" not in str(err.value)
+
+    def test_child_dying_without_reply_named(self, tiny_ds, monkeypatch):
+        self._plain_fit(monkeypatch, lambda: os._exit(3))
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            fit_side_models(tiny_ds, 4, SMALL_SETTINGS)
+
+    def test_parent_error_terminates_child(self, tiny_ds, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise ChildFitError("GP fit failed")
+
+        self._plain_fit(monkeypatch, lambda: time.sleep(60))
+        monkeypatch.setattr(experiment, "fit_gp", no_fit)
+        t0 = time.monotonic()
+        with pytest.raises(ChildFitError, match="GP fit failed"):
+            fit_side_models(tiny_ds, 4, SMALL_SETTINGS)
+        assert time.monotonic() - t0 < 30
+
+
 def _threshold_sweep(ds, budget, threshold, monkeypatch):
     monkeypatch.setattr("causalinv.experiment.ADJUST_THRESHOLD", threshold)
     return run_experiment(ds, budgets=[budget], lambdas=[0.5],
@@ -276,7 +392,7 @@ def _threshold_sweep(ds, budget, threshold, monkeypatch):
 def _fixed_policy_sweep(ds, move, density, monkeypatch):
     """A sweep whose every search moves the row's treatments by ``move`` and
     reports the APS ``density``."""
-    def fixed(x_bar, f, H, gps, schema, cfg, profile=None):
+    def fixed(x_bar, f, H, gps, schema, cfg, profile=None, reuse=None):
         x_T = x_bar[list(schema.treatment_idx)]
         return PolicyResult(x_T + move, np.zeros(1), ApsResult(np.array(density)),
                             0, 0.0, x_T[None, :])
@@ -313,8 +429,8 @@ class TestTreatmentFrequency:
 
 
 def test_import_leaves_process_pools_out():
-    # only a sweep with jobs > 1 imports concurrent.futures.process and with
-    # it multiprocessing
+    # multiprocessing loads only when a model fit forks its child, and
+    # concurrent.futures.process only when a sweep runs with jobs > 1
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

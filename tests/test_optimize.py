@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 
 import numpy as np
@@ -548,3 +549,72 @@ class TestSearchMatchesReference:
                         assert (type(res.cost_spent) is float
                                 and _same_bytes(res.cost_spent,
                                                 ref["cost_spent"]))
+
+
+class TestReuseOfLargerBudget:
+    """``optimize(..., reuse=...)`` returns the same row's search at a larger
+    budget unchanged exactly when a search at this budget takes its path."""
+
+    def setup_method(self):
+        n_c, n_t = 2, 3
+        self.schema = make_schema(n_c, 0, n_t, cost_up=[2.5, 0.5, 1.0],
+                                  cost_down=[0.5, 2.0, 1.0])
+        self.H = IndirectEstimator.passthrough(n_c, n_t)
+        self.f = _random_classifier(n_c, 0, n_t, seed=32, weighted=True,
+                                    hidden=(6, 4))
+        self.gps = _fitted_gps(n_t, n_c=n_c)
+        self.x_bar = np.random.default_rng(33).uniform(0.1, 0.9, n_c + n_t)
+
+    def _search(self, budget, reuse=None, lam=0.1):
+        cfg = OptimizationConfig(budget=budget, lam=lam, variant=Variant.G,
+                                 max_iters=80)
+        return optimize(self.x_bar, self.f, self.H, self.gps, self.schema,
+                        cfg, reuse=reuse)
+
+    def _costliest(self, res):
+        x_bar_T = self.x_bar[list(self.schema.treatment_idx)]
+        return float(cost(res.iterates - x_bar_T, self.schema.cost_up,
+                          self.schema.cost_down).max())
+
+    def _assert_same_search(self, res, ref):
+        for name in ("x_T_star", "objective_trace", "iterates"):
+            assert _same_bytes(getattr(res, name), getattr(ref, name))
+        assert _same_bytes(res.aps_star.density, ref.aps_star.density)
+        assert res.iterations_used == ref.iterations_used
+        assert _same_bytes(res.cost_spent, ref.cost_spent)
+
+    def test_search_within_budget_reused_as_is(self):
+        # budget 10 exceeds the largest cost of 3 x 2.5, so it never binds;
+        # at a budget equal to its costliest iterate the search is the same
+        wide = self._search(10.0)
+        budget = self._costliest(wide)
+        assert 0.0 < budget < 10.0
+        res = self._search(budget, reuse=wide)
+        assert res is wide and res.cfg.budget == 10.0
+        self._assert_same_search(res, self._search(budget))
+
+    def test_costlier_iterate_searched_again(self):
+        wide = self._search(10.0)
+        budget = self._costliest(wide) / 2
+        res = self._search(budget, reuse=wide)
+        assert res is not wide and res.cfg.budget == budget
+        self._assert_same_search(res, self._search(budget))
+
+    def test_binding_search_not_reused_1e13_below(self):
+        # a binding iterate costs the budget only to within rounding: here
+        # one ulp below 0.05, and a search at that cost takes another path
+        wide = self._search(0.05)
+        costliest = self._costliest(wide)
+        assert 0.05 - 1e-13 < costliest < 0.05
+        assert not _same_bytes(self._search(costliest).iterates, wide.iterates)
+        for budget in (costliest, 0.05 - 1e-13):
+            res = self._search(budget, reuse=wide)
+            assert res is not wide
+            self._assert_same_search(res, self._search(budget))
+
+    def test_other_settings_rejected(self):
+        wide = self._search(10.0)
+        with pytest.raises(ValueError, match="same variant, step"):
+            self._search(1.0, reuse=wide, lam=0.0)
+        with pytest.raises(ValueError, match="same variant, step"):
+            self._search(1.0, reuse=dataclasses.replace(wide, cfg=None))
