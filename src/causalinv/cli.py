@@ -14,6 +14,7 @@ writes the sweep report.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import sys
 from dataclasses import fields, replace
@@ -78,10 +79,16 @@ def _gp_file(treatment):
     return f"gp_{''.join(ch if ch.isalnum() else '_' for ch in treatment)}.json"
 
 
+def _fingerprint(raw):
+    """SHA-256 of a loaded data matrix's values, before normalization."""
+    return hashlib.sha256(raw.X.astype("<f8", copy=False).tobytes()).hexdigest()
+
+
 def cmd_train(args) -> int:
     seed = _seed_from(args)
     settings = _settings_from(args)
-    ds = normalize(load_dataset(args.data, args.schema))
+    raw = load_dataset(args.data, args.schema)
+    ds = normalize(raw)
     opt_half, val_half = split_half(ds, seed)
     side = fit_side_models(opt_half, _derive_seed(seed, 1), settings)
 
@@ -96,6 +103,7 @@ def cmd_train(args) -> int:
         "format": MANIFEST_FORMAT,
         "seed": seed,
         "data": os.path.basename(args.data),
+        "data_sha256": _fingerprint(raw),
         "schema": os.path.basename(args.schema),
         "n": ds.n, "n_opt": opt_half.n, "n_val": val_half.n,
         "treatments": list(ds.schema.treatment_names()),
@@ -116,9 +124,10 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _manifest_seed(doc, names, n):
+def _manifest_seed(doc, names, n, fingerprint):
     """The split seed of a manifest of models trained on the list ``names``
-    of treatments and on data of ``n`` rows."""
+    of treatments and on data of ``n`` rows whose :func:`_fingerprint` is
+    ``fingerprint``."""
     if doc.get("format") != MANIFEST_FORMAT:
         raise ValueError(f"unsupported manifest format {doc.get('format')!r}")
     if doc["treatments"] != names:
@@ -127,6 +136,10 @@ def _manifest_seed(doc, names, n):
     if doc["n"] != n:
         raise ValueError(f"the artifacts were trained on data of {doc['n']!r} "
                          f"rows, but the data has {n}")
+    if doc["data_sha256"] != fingerprint:
+        raise ValueError(f"the artifacts were trained on data of SHA-256 "
+                         f"{doc['data_sha256']!r}, but the data has "
+                         f"{fingerprint!r}")
     if type(doc["seed"]) is not int or doc["seed"] < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {doc['seed']!r}")
     return doc["seed"]
@@ -151,11 +164,12 @@ def cmd_optimize(args) -> int:
     if args.print_limit < 0:
         raise ValueError(f"--print-limit must be at least 0, got {args.print_limit}")
 
-    ds = normalize(load_dataset(args.data, args.schema))
+    raw = load_dataset(args.data, args.schema)
+    ds = normalize(raw)
     art_dir = args.artifacts or args.out
     names = list(ds.schema.treatment_names())
     seed = read_json(os.path.join(art_dir, "manifest.json"), _manifest_seed,
-                     names, ds.n)
+                     names, ds.n, _fingerprint(raw))
     _, val_half = split_half(ds, seed)
     side = _load_artifacts(art_dir, names)
     f = side.classifier(variant)

@@ -14,14 +14,16 @@ from __future__ import annotations
 
 import csv
 import math
-from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+import os
+from contextlib import contextmanager, nullcontext
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 
 import numpy as np
 
 from .data import Dataset, split_half, write_json
-from .gp import DEFAULT_RESTARTS, KernelConfig, fit_gp, treatment_profile
+from .gp import (DEFAULT_RESTARTS, KernelConfig, fit_gp, search_hypers,
+                 treatment_profile)
 from .nets import (BATCH, DEFAULT_ARCH_GRID, DEFAULT_EPOCHS, DEFAULT_FOLDS, LR,
                    predict_proba, train_classifier, train_indirect)
 from .optimize import TOL, OptimizationConfig, OptimizationError, Variant, optimize
@@ -121,6 +123,21 @@ def _check_folds(settings: TrainSettings, *halves: Dataset) -> None:
                          f"training half, got {settings.folds}")
 
 
+def _spare_cores() -> bool:
+    """Whether a second process making BLAS calls has cores of its own: the
+    usable cores are at least twice the threads one BLAS call runs on. That
+    count is the first positive integer among the variables OpenBLAS reads
+    it from, else one thread per core. Two processes whose BLAS threads
+    outnumber the cores slow each other down, as waiting threads spin."""
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "")
+        if value.isdigit() and int(value) > 0:
+            return 2 * int(value) <= cores
+    return False  # a thread per core: the BLAS already keeps each core busy
+
+
 def _reply(fn, conn):
     """Body of a forked child: send ``(True, fn())`` or ``(False, error)``."""
     try:
@@ -177,25 +194,46 @@ def fit_side_models(half: Dataset, seed: int,
                     settings: TrainSettings = TrainSettings()) -> SideModels:
     """Fit GPs, both classifiers and the indirect estimator on one half.
 
-    The plain classifier reads no other fitted model, so it trains in a
-    forked child while this process fits the GPs, H and the weighted
-    classifier. Each fit draws from its own derived seed, so the models are
-    the ones a single process fits.
+    Two forked children take work off this process, one after the other.
+    The first searches the GP hyperparameters of every second treatment (1,
+    3, ...) and sends back only each search's result, while this process
+    fits the other treatments' GPs; this process then factorizes each of the
+    child's GPs at its searched hyperparameters. The search child starts
+    only when the BLAS leaves cores to spare (:func:`_spare_cores`);
+    otherwise this process runs those searches itself, after its own fits.
+    The second child trains the plain classifier, which reads no other
+    fitted model, while this process fits H and the weighted classifier.
+    Each fit draws from its own derived seed, so the models are the ones a
+    single process fits.
     """
     _check_folds(settings, half)
+    Xc = half.controls()
+    Xt = half.treatments()
+    k = half.schema.n_treatments
+    theirs = range(1, k, 2)  # the treatments searched in the child
+
+    def searched():
+        return [search_hypers(Xc, Xt[:, j], DEFAULT_KERNEL,
+                              seed=_derive_seed(seed, 11, j),
+                              restarts=settings.gp_restarts) for j in theirs]
 
     def classifier(weighted, gps, part):
         return train_classifier(half, weighted, gps, settings.folds,
                                 settings.arch_grid, _derive_seed(seed, part),
                                 settings.epochs)
 
+    gps = [None] * k
+    fork = bool(theirs) and _spare_cores()
+    with (_forked(searched) if fork else nullcontext(searched)) as found:
+        for j in range(0, k, 2):
+            gps[j] = fit_gp(Xc, Xt[:, j], DEFAULT_KERNEL, optimize_hypers=True,
+                            seed=_derive_seed(seed, 11, j),
+                            restarts=settings.gp_restarts)
+        for j, (kernel, at_bound) in zip(theirs, found()):
+            gps[j] = replace(fit_gp(Xc, Xt[:, j], kernel, optimize_hypers=False),
+                             at_bound=at_bound)
+    gps = tuple(gps)
     with _forked(partial(classifier, False, None, 19)) as plain:
-        Xc = half.controls()
-        Xt = half.treatments()
-        gps = tuple(
-            fit_gp(Xc, Xt[:, j], DEFAULT_KERNEL, optimize_hypers=True,
-                   seed=_derive_seed(seed, 11, j), restarts=settings.gp_restarts)
-            for j in range(half.schema.n_treatments))
         H = train_indirect(half, seed=_derive_seed(seed, 13),
                            epochs=settings.epochs)
         f_w = classifier(True, gps, 17)

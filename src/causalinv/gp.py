@@ -198,14 +198,32 @@ def _ascend(resid, theta0, sqd, steps, bounds):
     return best_lml, best_theta
 
 
-def _optimize_hypers(sqd, resid, start, seed, restarts):
+def _training_rows(controls, treatment_values):
+    """A GP's training controls and targets as float arrays, checked."""
+    controls = np.asarray(controls, dtype=np.float64)
+    t = np.asarray(treatment_values, dtype=np.float64).ravel()
+    if controls.ndim != 2:
+        raise ValueError("controls must be a 2-D matrix")
+    m = controls.shape[0]
+    if m < 2:
+        raise ValueError("need at least 2 training rows to fit a GP")
+    if t.shape[0] != m:
+        raise ValueError("treatment_values length does not match controls")
+    if not np.all(np.isfinite(controls)) or not np.all(np.isfinite(t)):
+        raise ValueError("training data must be finite")
+    return controls, t
+
+
+def search_hypers(controls, treatment_values, start: KernelConfig,
+                  seed: int = 0, restarts: int = DEFAULT_RESTARTS) -> tuple:
     """Multi-start first-order ascent of the log marginal likelihood.
 
-    Every start (the given hyperparameters, a median-distance heuristic and
-    ``restarts`` seeded draws) gets a short pilot ascent; the best pilot
-    continues for the full iteration budget. The best iterate ever visited
-    wins, so the result is never worse than the starting hyperparameters.
-    Returns the hyperparameters and the names of those that ended on a bound.
+    Every start (``start``, a median-distance heuristic and ``restarts``
+    seeded draws) gets a short pilot ascent; the best pilot continues for the
+    full iteration budget. The best iterate ever visited wins, so the result
+    is never worse than the starting hyperparameters. Returns the
+    :class:`KernelConfig` found and the names of the hyperparameters that
+    ended on a bound; nothing is factorized for the result.
 
     Search bounds are data-driven. In particular the noise variance is floored
     at 5% of the target variance and the lengthscale at 15% of the median
@@ -214,6 +232,9 @@ def _optimize_hypers(sqd, resid, start, seed, restarts):
     would make the propensity density at training points arbitrarily peaked
     while staying flat at query points.
     """
+    controls, t = _training_rows(controls, treatment_values)
+    resid = t - float(np.mean(t))
+    sqd = _sqdist(controls, controls)
     med = np.sqrt(np.median(sqd[sqd > 0])) if np.any(sqd > 0) else 1.0
     var_t = max(float(np.var(resid)), 1e-8)
     bounds = np.log(np.array([
@@ -223,7 +244,8 @@ def _optimize_hypers(sqd, resid, start, seed, restarts):
     ]))
     rng = np.random.default_rng(seed)
 
-    starts = [np.log(np.asarray(start))]
+    starts = [np.log([start.lengthscale, start.signal_variance,
+                      max(start.noise_variance, 1e-9)])]
     starts.append(np.log([med, var_t, 0.1 * var_t]))  # median-heuristic start
     for _ in range(restarts):
         starts.append(np.array([
@@ -241,8 +263,10 @@ def _optimize_hypers(sqd, resid, start, seed, restarts):
     if lml > best_lml:
         best_lml, best_theta = lml, theta
     on_bound = (best_theta <= bounds[:, 0]) | (best_theta >= bounds[:, 1])
-    return np.exp(best_theta), tuple(
-        name for name, hit in zip(HYPER_NAMES, on_bound) if hit)
+    ls, sv, nv = np.exp(best_theta)
+    return (KernelConfig(lengthscale=float(ls), signal_variance=float(sv),
+                         noise_variance=float(nv)),
+            tuple(name for name, hit in zip(HYPER_NAMES, on_bound) if hit))
 
 
 def fit_gp(controls, treatment_values, config: KernelConfig,
@@ -250,36 +274,19 @@ def fit_gp(controls, treatment_values, config: KernelConfig,
            restarts: int = DEFAULT_RESTARTS) -> TreatmentGP:
     """Fit one treatment's assignment GP on the control features.
 
-    With ``optimize_hypers`` the kernel hyperparameters are moved to a
-    log-marginal-likelihood optimum found by multi-start gradient ascent
-    (``restarts`` seeded restarts on top of the given and median-heuristic
-    starting points).
+    With ``optimize_hypers`` the kernel hyperparameters are first moved to
+    the optimum :func:`search_hypers` finds from ``config``; the GP is then
+    factorized at its hyperparameters.
     """
-    controls = np.asarray(controls, dtype=np.float64)
-    t = np.asarray(treatment_values, dtype=np.float64).ravel()
-    if controls.ndim != 2:
-        raise ValueError("controls must be a 2-D matrix")
-    m = controls.shape[0]
-    if m < 2:
-        raise ValueError("need at least 2 training rows to fit a GP")
-    if t.shape[0] != m:
-        raise ValueError("treatment_values length does not match controls")
-    if not np.all(np.isfinite(controls)) or not np.all(np.isfinite(t)):
-        raise ValueError("training data must be finite")
-
-    mean_const = float(np.mean(t))
-    resid = t - mean_const
-
-    ls, sv, nv = config.lengthscale, config.signal_variance, config.noise_variance
-    sqd = _sqdist(controls, controls)
+    controls, t = _training_rows(controls, treatment_values)
     at_bound = ()
     if optimize_hypers:
-        (ls, sv, nv), at_bound = _optimize_hypers(
-            sqd, resid, (ls, sv, max(nv, 1e-9)), seed=seed, restarts=restarts)
-        config = KernelConfig(lengthscale=float(ls), signal_variance=float(sv),
-                              noise_variance=float(nv))
-
-    _, L_inv, alpha, lml, jit = _factorize(resid, ls, sv, nv, sqd)
+        config, at_bound = search_hypers(controls, t, config, seed=seed,
+                                         restarts=restarts)
+    mean_const = float(np.mean(t))
+    _, L_inv, alpha, lml, jit = _factorize(
+        t - mean_const, config.lengthscale, config.signal_variance,
+        config.noise_variance, _sqdist(controls, controls))
     return TreatmentGP(kernel=config, train_controls=controls, train_targets=t,
                        mean_const=mean_const, alpha=alpha, chol_inv=L_inv,
                        jitter=jit, log_marginal=lml, at_bound=at_bound)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import shutil
@@ -118,6 +119,9 @@ class TestTrain:
         assert manifest["seed"] == 3
         assert manifest["n"] == 80 and manifest["n_opt"] == 40
         assert manifest["classifiers"]["weighted"]["arch"] == [4]
+        # the fingerprint of the data's values as loaded, before normalizing
+        assert manifest["data_sha256"] == hashlib.sha256(
+            load_dataset(*corpus).X.tobytes()).hexdigest()
         models = os.listdir(tmp_path / "run" / "models")
         assert "classifier_weighted.json" in models
         assert "indirect.json" in models
@@ -362,6 +366,21 @@ class TestOptimize:
         assert "data of 80 rows, but the data has 120" in err
         assert not (tmp_path / "t" / "policies.json").exists()
 
+    def test_other_data_of_same_row_count_exit_2(self, trained, tmp_path,
+                                                 capsys):
+        # same schema, treatments and row count, other rows: the manifest's
+        # fingerprint of the training data tells
+        csv_path, schema_path = synth.write_corpus(str(tmp_path / "other"),
+                                                   n=80, seed=12345)
+        code = main(["optimize", "--data", csv_path, "--schema", schema_path,
+                     "--out", str(tmp_path / "t"), "--artifacts", str(trained),
+                     "--budget", "1", "--instances", "0,1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(trained / "manifest.json") in err
+        assert "trained on data of SHA-256" in err
+        assert not (tmp_path / "t" / "policies.json").exists()
+
     @pytest.mark.parametrize("name, key, value, flags", [
         ("gp_goout.json", "lengthscale", float("nan"), ["--variant", "f"]),
         ("gp_goout.json", "lengthscale", float("nan"),
@@ -426,6 +445,7 @@ class TestOptimize:
         assert not out.exists()
 
     @pytest.mark.parametrize("name, key", [("manifest.json", "treatments"),
+                                           ("manifest.json", "data_sha256"),
                                            ("models/indirect.json", "n_indirect")])
     def test_missing_field_named(self, corpus, trained, tmp_path, capsys,
                                  name, key):

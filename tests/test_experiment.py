@@ -1,3 +1,4 @@
+import csv
 import json
 import multiprocessing
 import os
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import causalinv.experiment as experiment
+from causalinv.cli import main
 from causalinv.experiment import (ADJUST_THRESHOLD, DEFAULT_KERNEL,
                                   TrainSettings, _cell_grid, _derive_seed,
                                   _filter_3sigma, fit_side_models, ifee,
@@ -295,7 +297,7 @@ class TestRunExperiment:
 
 
 class ChildFitError(LookupError):
-    """Raised by a classifier fit in the forked child."""
+    """Raised by a fit in a forked child."""
 
 
 def _model_documents(side):
@@ -305,12 +307,29 @@ def _model_documents(side):
             [gp.alpha.tobytes() for gp in side.gps])
 
 
+def _counted_gp_fits(monkeypatch):
+    """Count the calls of ``fit_gp`` that ``fit_side_models`` makes in this
+    process; the returned list grows by one per call."""
+    real, calls = experiment.fit_gp, []
+
+    def fit(*args, **kwargs):
+        calls.append(kwargs.get("optimize_hypers"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "fit_gp", fit)
+    return calls
+
+
 class TestFitSideModels:
-    """The plain classifier trains in a forked child while the parent fits
-    the GPs, H and the weighted classifier."""
+    """One forked child searches every second treatment's GP hyperparameters
+    while the parent fits the other GPs and then factorizes all of them;
+    another trains the plain classifier while the parent fits H and the
+    weighted classifier."""
 
     @pytest.fixture(autouse=True)
-    def no_child_left(self):
+    def no_child_left(self, monkeypatch):
+        # the search child starts whatever BLAS thread count the tests run at
+        monkeypatch.setattr(experiment, "_spare_cores", lambda: True)
         yield
         assert multiprocessing.active_children() == []
 
@@ -332,7 +351,10 @@ class TestFitSideModels:
 
     @pytest.mark.parametrize("where", ["no fork", "pool worker"])
     def test_without_child_same_models(self, tiny_ds, monkeypatch, where):
+        calls = _counted_gp_fits(monkeypatch)
         forked = fit_side_models(tiny_ds, 4, SMALL_SETTINGS)
+        forked_calls = list(calls)
+        calls.clear()
 
         def no_context(*args):
             raise AssertionError("a child was started")
@@ -344,8 +366,76 @@ class TestFitSideModels:
             monkeypatch.setattr(multiprocessing.current_process(), "daemon",
                                 True)
         monkeypatch.setattr(multiprocessing, "get_context", no_context)
-        assert (_model_documents(fit_side_models(tiny_ds, 4, SMALL_SETTINGS))
-                == _model_documents(forked))
+        alone = fit_side_models(tiny_ds, 4, SMALL_SETTINGS)
+        assert _model_documents(alone) == _model_documents(forked)
+        assert ([gp.at_bound for gp in alone.gps]
+                == [gp.at_bound for gp in forked.gps])
+        # one fit per treatment either way: the parent's own GPs searched,
+        # the child's factorized at the hyperparameters it sent back
+        assert calls == forked_calls == [True, False]
+
+    def _children(self, monkeypatch):
+        """Record each function ``fit_side_models`` forks a child for."""
+        started, real = [], experiment._forked
+
+        def spy(fn):
+            started.append(fn)
+            return real(fn)
+
+        monkeypatch.setattr(experiment, "_forked", spy)
+        return started
+
+    def test_one_treatment_starts_no_search_child(self, monkeypatch):
+        ds = make_dataset(n=36, n_c=2, n_i=1, n_t=1, seed=17)
+        started = self._children(monkeypatch)
+        side = fit_side_models(ds, 4, SMALL_SETTINGS)
+        assert len(started) == 1  # the plain classifier's child alone
+        direct = fit_gp(ds.controls(), ds.treatments()[:, 0], DEFAULT_KERNEL,
+                        optimize_hypers=True, seed=_derive_seed(4, 11, 0),
+                        restarts=SMALL_SETTINGS.gp_restarts)
+        assert gp_to_dict(side.gps[0]) == gp_to_dict(direct)
+
+    def test_no_spare_core_searches_in_process(self, tiny_ds, monkeypatch):
+        forked = fit_side_models(tiny_ds, 4, SMALL_SETTINGS)
+        monkeypatch.setattr(experiment, "_spare_cores", lambda: False)
+        started = self._children(monkeypatch)
+        alone = fit_side_models(tiny_ds, 4, SMALL_SETTINGS)
+        assert len(started) == 1  # the plain classifier's child alone
+        assert _model_documents(alone) == _model_documents(forked)
+
+    def test_bound_found_in_child_is_kept(self, tmp_path):
+        # the second treatment, whose search runs in the child, is a
+        # noise-free function of a control, so its search ends on the noise
+        # variance's floor; the model and the manifest both report it
+        ds = make_dataset(n=40, n_c=2, n_i=1, n_t=2, seed=6)
+        X = ds.X.copy()
+        X[:, -1] = 0.2 + 0.5 * X[:, 0]
+        ds = replace(ds, X=X)
+        gp = fit_side_models(ds, 4, SMALL_SETTINGS).gps[1]
+        direct = fit_gp(ds.controls(), X[:, -1], DEFAULT_KERNEL,
+                        optimize_hypers=True, seed=_derive_seed(4, 11, 1),
+                        restarts=SMALL_SETTINGS.gp_restarts)
+        assert "noise_variance" in gp.at_bound
+        assert gp.at_bound == direct.at_bound
+        assert gp.log_marginal == direct.log_marginal
+
+        names = ds.schema.feature_names
+        csv_path, schema_path = tmp_path / "d.csv", tmp_path / "s.json"
+        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([*names, "y"])
+            writer.writerows([*map(repr, row), label]
+                             for row, label in zip(X.tolist(), ds.y))
+        schema_path.write_text(json.dumps({
+            "label": "y", "control": list(names[:2]),
+            "indirect": [names[2]], "treatment": list(names[3:])}))
+        out = tmp_path / "art"
+        assert main(["train", "--data", str(csv_path), "--schema",
+                     str(schema_path), "--out", str(out), "--seed", "0",
+                     "--folds", "2", "--epochs", "5", "--arch", "4",
+                     "--gp-restarts", "1"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "noise_variance" in manifest["gps"][names[-1]]["at_bound"]
 
     def _plain_fit(self, monkeypatch, body):
         """Replace the plain classifier's fit by ``body()``."""
@@ -356,6 +446,12 @@ class TestFitSideModels:
 
         monkeypatch.setattr(experiment, "train_classifier", fit)
 
+    def _search(self, monkeypatch, body):
+        """Replace the hyperparameter search of the child's GPs by
+        ``body()``; the parent's own GPs still search in ``fit_gp``."""
+        monkeypatch.setattr(experiment, "search_hypers",
+                            lambda *args, **kwargs: body())
+
     def test_child_error_keeps_its_type(self, tiny_ds, monkeypatch):
         def fail():
             raise ChildFitError(f"plain fit failed in process {os.getpid()}")
@@ -365,21 +461,72 @@ class TestFitSideModels:
             fit_side_models(tiny_ds, 4, SMALL_SETTINGS)
         assert f"process {os.getpid()}" not in str(err.value)
 
+    def test_search_error_keeps_its_type(self, tiny_ds, monkeypatch):
+        def fail():
+            raise ChildFitError(f"search failed in process {os.getpid()}")
+
+        self._search(monkeypatch, fail)
+        with pytest.raises(ChildFitError, match="search failed") as err:
+            fit_side_models(tiny_ds, 4, SMALL_SETTINGS)
+        assert f"process {os.getpid()}" not in str(err.value)
+
     def test_child_dying_without_reply_named(self, tiny_ds, monkeypatch):
         self._plain_fit(monkeypatch, lambda: os._exit(3))
         with pytest.raises(RuntimeError, match="exited with code 3"):
             fit_side_models(tiny_ds, 4, SMALL_SETTINGS)
 
+    def test_search_child_dying_without_reply_named(self, tiny_ds,
+                                                    monkeypatch):
+        self._search(monkeypatch, lambda: os._exit(5))
+        with pytest.raises(RuntimeError, match="exited with code 5"):
+            fit_side_models(tiny_ds, 4, SMALL_SETTINGS)
+
     def test_parent_error_terminates_child(self, tiny_ds, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise ChildFitError("indirect fit failed")
+
+        self._plain_fit(monkeypatch, lambda: time.sleep(60))
+        monkeypatch.setattr(experiment, "train_indirect", no_fit)
+        t0 = time.monotonic()
+        with pytest.raises(ChildFitError, match="indirect fit failed"):
+            fit_side_models(tiny_ds, 4, SMALL_SETTINGS)
+        assert time.monotonic() - t0 < 30
+
+    def test_parent_gp_error_terminates_search_child(self, tiny_ds,
+                                                     monkeypatch):
         def no_fit(*args, **kwargs):
             raise ChildFitError("GP fit failed")
 
-        self._plain_fit(monkeypatch, lambda: time.sleep(60))
+        self._search(monkeypatch, lambda: time.sleep(60))
         monkeypatch.setattr(experiment, "fit_gp", no_fit)
         t0 = time.monotonic()
         with pytest.raises(ChildFitError, match="GP fit failed"):
             fit_side_models(tiny_ds, 4, SMALL_SETTINGS)
         assert time.monotonic() - t0 < 30
+
+
+@pytest.mark.parametrize("env, cores, spare", [
+    ({}, 2, False),  # OpenBLAS runs a thread per core
+    ({}, 8, False),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, True),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 1, False),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 2, False),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 4, True),
+    ({"OMP_NUM_THREADS": "1"}, 2, True),
+    ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 2, True),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, False),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, True),
+    ({"OPENBLAS_NUM_THREADS": "one"}, 2, False),
+])
+def test_spare_cores_counts_blas_threads(monkeypatch, env, cores, spare):
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    assert experiment._spare_cores() is spare
 
 
 def _threshold_sweep(ds, budget, threshold, monkeypatch):

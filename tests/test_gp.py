@@ -7,7 +7,7 @@ import pytest
 from causalinv.gp import (KernelConfig, _density_slope, _factorize,
                           _lml_and_grad, _sqdist, _tril_inv, aps, fit_gp,
                           gp_from_dict, gp_to_dict, predict_batch,
-                          treatment_profile)
+                          search_hypers, treatment_profile)
 from tests.oracles import (central_diff, dense_gp_predict, dense_log_marginal,
                            ref_factorize, ref_lml_and_grad)
 
@@ -197,6 +197,22 @@ class TestFit:
         assert "noise_variance" in gp.at_bound
         assert abs(gp.kernel.noise_variance / (0.05 * np.var(t)) - 1) < 1e-12
         assert fit_gp(X, t, gp.kernel, optimize_hypers=False).at_bound == ()
+
+    def test_search_then_refit_is_the_searched_fit(self):
+        # the split a forked search relies on: the searched hyperparameters,
+        # factorized with no search, give the searched fit's bytes
+        rng = np.random.default_rng(13)
+        X = rng.random((30, 2))
+        t = np.sin(3 * X[:, 0]) + rng.normal(0, 0.1, 30)
+        start = KernelConfig(1.0, 1.0, 0.1)
+        searched = fit_gp(X, t, start, optimize_hypers=True, seed=3,
+                          restarts=2)
+        kernel, at_bound = search_hypers(X, t, start, seed=3, restarts=2)
+        refit = fit_gp(X, t, kernel, optimize_hypers=False)
+        assert kernel == searched.kernel and at_bound == searched.at_bound
+        assert refit.alpha.tobytes() == searched.alpha.tobytes()
+        assert refit.chol_inv.tobytes() == searched.chol_inv.tobytes()
+        assert refit.log_marginal == searched.log_marginal
 
 
 def _bound_corner(X, t):

@@ -11,6 +11,7 @@ import importlib
 import importlib.util
 import inspect
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -18,7 +19,7 @@ import sys
 import numpy as np
 import pytest
 
-from causalinv import synth
+from causalinv import experiment, synth
 from causalinv.cli import build_parser, cmd_evaluate, main
 from causalinv.experiment import (TrainSettings, fit_side_models, ifee,
                                   run_experiment)
@@ -115,8 +116,11 @@ def test_traced_run_reports_every_layer_metric(tmp_path, monkeypatch):
     # perfbench/run.py's own LayerTrace around train, optimize and evaluate:
     # every hook it installs fires on the package's real calls, and the
     # metrics it derives are exactly BENCHMARK.json's per-layer list. Every
-    # GP fit stays in the traced process: 6 in train, 6 refits when optimize
-    # loads the models and 12 in evaluate
+    # GP is factorized in the traced process: 6 in train, 6 refits when
+    # optimize loads the models and 12 in evaluate. The hyperparameter
+    # searches of every second treatment run in a forked child here, and
+    # the same commands run once more with no fork start method, so every
+    # search stays in this process; both runs count the same
     monkeypatch.setattr(sys, "path", [PERFBENCH] + sys.path)
     environ = set(os.environ)
     spec = importlib.util.spec_from_file_location(
@@ -127,28 +131,41 @@ def test_traced_run_reports_every_layer_metric(tmp_path, monkeypatch):
         monkeypatch.delenv(var)
     for name in ("checks", "spans"):  # perfbench's modules, named generically
         sys.modules.pop(name, None)
+    monkeypatch.setattr(experiment, "_spare_cores", lambda: True)
     csv_path, schema_path = synth.write_corpus(str(tmp_path / "corpus"), n=40)
-    data = ["--data", csv_path, "--schema", schema_path,
-            "--out", str(tmp_path / "out")]
     training = ["--gp-restarts", "0", "--folds", "2", "--epochs", "5",
                 "--arch", "4"]
     search = ["--budget", "1", "--max-iters", "10"]
-    trace = run.LayerTrace()
-    trace.start()
-    try:
-        assert main(["train", *data, *training]) == 0
-        assert main(["optimize", *data, *search, "--instances", "0,1"]) == 0
-        assert main(["evaluate", *data, *training, "--budget", "0", *search,
-                     "--jobs", "1"]) == 0
-    finally:
-        trace.stop()
+
+    def traced(out):
+        data = ["--data", csv_path, "--schema", schema_path, "--out", out]
+        trace = run.LayerTrace()
+        trace.start()
+        try:
+            assert main(["train", *data, *training]) == 0
+            assert main(["optimize", *data, *search, "--instances", "0,1"]) == 0
+            assert main(["evaluate", *data, *training, "--budget", "0",
+                         *search, "--jobs", "1"]) == 0
+        finally:
+            trace.stop()
+        return trace.metrics([0.0])
+
+    metrics = traced(str(tmp_path / "out"))
     with open(os.path.join(PERFBENCH, "..", "BENCHMARK.json"),
               encoding="utf-8") as fh:
-        per_layer = {m["name"] for m in json.load(fh)["per_layer"]}
-    metrics = trace.metrics([0.0])
-    assert set(metrics) == per_layer
+        layers = json.load(fh)["per_layer"]
+    assert set(metrics) == {m["name"] for m in layers}
     assert metrics["gp.fits"] == 24
     assert metrics["nets.classifier_fit_s"] > 0
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
+    alone = traced(str(tmp_path / "alone"))
+    # every count (gp.jittered among them) and the mean log marginal
+    same = [m["name"] for m in layers if m["unit"] == "count"]
+    same.append("gp.lml_per_row")
+    assert {name: alone[name] for name in same} == {
+        name: metrics[name] for name in same}
 
 
 def test_benchmark_selftest_passes():
