@@ -24,8 +24,9 @@ print(f"{ds.n} students, {ds.X.shape[1]} features, "
 print("fitting one assignment GP per treatment (marginal-likelihood ascent)")
 gps = []
 for j, name in enumerate(names):
-    gp = ci.fit_gp(opt_half.controls(), opt_half.treatments()[:, j],
-                   ci.KernelConfig(2.0, 1.0, 0.05), seed=j)
+    X, t = opt_half.controls(), opt_half.treatments()[:, j]
+    kernel, _ = ci.search_hypers(X, t, ci.KernelConfig(2.0, 1.0, 0.05), seed=j)
+    gp = ci.fit_gp(X, t, kernel)
     gps.append(gp)
     means, stds = ci.predict_batch(gp, val_half.controls())
     resid = val_half.treatments()[:, j] - means

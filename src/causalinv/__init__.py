@@ -13,7 +13,7 @@ the policies with an independently trained validation model.
 from .data import (DataError, Dataset, FeatureSchema, SchemaError, denormalize,
                    load_dataset, normalize, split_half)
 from .gp import (ApsResult, KernelConfig, TreatmentGP, aps, fit_gp,
-                 predict_batch, treatment_profile)
+                 predict_batch, search_hypers, treatment_profile)
 from .nets import (IndirectEstimator, MlpClassifier, grad_wrt_treatments,
                    predict_proba, train_classifier, train_indirect)
 from .optimize import (OptimizationConfig, OptimizationError, PolicyResult,
@@ -31,7 +31,7 @@ __all__ = [
     "SideModels", "TrainSettings", "TreatmentGP", "Variant", "aps", "cost",
     "denormalize", "fit_gp", "fit_side_models", "grad_wrt_treatments",
     "ifee", "load_dataset", "normalize", "optimize", "predict_batch",
-    "predict_proba", "project", "run_experiment", "split_half",
-    "train_classifier", "train_indirect", "treatment_profile", "write_report",
-    "write_sweep_csv",
+    "predict_proba", "project", "run_experiment", "search_hypers",
+    "split_half", "train_classifier", "train_indirect", "treatment_profile",
+    "write_report", "write_sweep_csv",
 ]

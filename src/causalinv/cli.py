@@ -223,8 +223,6 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     budgets = _split_list(args.budget, float)
     lams = _split_list(args.lam, float)
     variants = [Variant(v) for v in (_split_list(args.variant, str)

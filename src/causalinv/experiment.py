@@ -197,46 +197,41 @@ def fit_side_models(half: Dataset, seed: int,
     Two forked children take work off this process, one after the other.
     The first searches the GP hyperparameters of every second treatment (1,
     3, ...) and sends back only each search's result, while this process
-    fits the other treatments' GPs; this process then factorizes each of the
-    child's GPs at its searched hyperparameters. The search child starts
-    only when the BLAS leaves cores to spare (:func:`_spare_cores`);
-    otherwise this process runs those searches itself, after its own fits.
-    The second child trains the plain classifier, which reads no other
-    fitted model, while this process fits H and the weighted classifier.
-    Each fit draws from its own derived seed, so the models are the ones a
-    single process fits.
+    searches those of the other treatments. The search child starts only
+    when the BLAS leaves cores to spare (:func:`_spare_cores`); otherwise
+    this process runs those searches itself, after its own. This process
+    then factorizes every GP at its searched hyperparameters, in treatment
+    order. The second child trains the plain classifier, which reads no
+    other fitted model, while this process fits H and the weighted
+    classifier. Each fit draws from its own derived seed, so the models are
+    the ones a single process fits.
     """
     _check_folds(settings, half)
     Xc = half.controls()
     Xt = half.treatments()
     k = half.schema.n_treatments
-    theirs = range(1, k, 2)  # the treatments searched in the child
 
-    def searched():
+    def search(js):
         return [search_hypers(Xc, Xt[:, j], DEFAULT_KERNEL,
                               seed=_derive_seed(seed, 11, j),
-                              restarts=settings.gp_restarts) for j in theirs]
+                              restarts=settings.gp_restarts) for j in js]
 
-    def classifier(weighted, gps, part):
-        return train_classifier(half, weighted, gps, settings.folds,
-                                settings.arch_grid, _derive_seed(seed, part),
-                                settings.epochs)
+    def classifier(gps, part):
+        return train_classifier(half, gps, settings.folds, settings.arch_grid,
+                                _derive_seed(seed, part), settings.epochs)
 
-    gps = [None] * k
-    fork = bool(theirs) and _spare_cores()
-    with (_forked(searched) if fork else nullcontext(searched)) as found:
-        for j in range(0, k, 2):
-            gps[j] = fit_gp(Xc, Xt[:, j], DEFAULT_KERNEL, optimize_hypers=True,
-                            seed=_derive_seed(seed, 11, j),
-                            restarts=settings.gp_restarts)
-        for j, (kernel, at_bound) in zip(theirs, found()):
-            gps[j] = replace(fit_gp(Xc, Xt[:, j], kernel, optimize_hypers=False),
-                             at_bound=at_bound)
-    gps = tuple(gps)
-    with _forked(partial(classifier, False, None, 19)) as plain:
+    theirs = partial(search, range(1, k, 2))
+    found = [None] * k
+    fork = k > 1 and _spare_cores()
+    with (_forked(theirs) if fork else nullcontext(theirs)) as their_result:
+        found[0::2] = search(range(0, k, 2))
+        found[1::2] = their_result()
+    gps = tuple(replace(fit_gp(Xc, Xt[:, j], kernel), at_bound=at_bound)
+                for j, (kernel, at_bound) in enumerate(found))
+    with _forked(partial(classifier, None, 19)) as plain:
         H = train_indirect(half, seed=_derive_seed(seed, 13),
                            epochs=settings.epochs)
-        f_w = classifier(True, gps, 17)
+        f_w = classifier(gps, 17)
         f_p = plain()
     return SideModels(f_weighted=f_w, f_plain=f_p, H=H, gps=gps)
 
@@ -271,10 +266,17 @@ def _filter_3sigma(values) -> tuple:
 
 def _cell_grid(variants, budgets, lambdas, step, max_iters):
     """The :class:`OptimizationConfig` of each sweep cell, in deterministic
-    order; lambda only varies for variant g. A bad value raises here."""
+    order; lambda only varies for variant g. A bad or repeated value raises
+    here, naming its command-line flag."""
+    variants = [Variant(v) for v in variants]
+    for flag, values in (("--variant", [v.value for v in variants]),
+                         ("--budget", [float(b) for b in budgets]),
+                         ("--lambda", [float(lam) for lam in lambdas])):
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ValueError(f"{flag} {value} is given more than once")
     cells = []
     for v in variants:
-        v = Variant(v)
         lams = tuple(lambdas) if v is Variant.G else (0.0,)
         for b in budgets:
             for lam in lams:
@@ -324,6 +326,8 @@ def run_experiment(ds: Dataset, budgets, lambdas, variants, seed: int,
     averages and reported per cell, never silently dropped; a cell in which
     every row failed reports NaN averages.
     """
+    if jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {jobs}")
     if ds.norm_params is None:
         raise ValueError("dataset must be normalized first")
     if not budgets:

@@ -54,7 +54,8 @@ class TreatmentGP:
 
     ``chol_inv`` is the inverse of the Cholesky factor of the noisy kernel
     matrix; ``at_bound`` names the hyperparameters that ended the marginal
-    likelihood search on one of its bounds (empty when none was searched).
+    likelihood search for ``kernel`` on one of its bounds, as
+    :func:`search_hypers` reports them (empty when none was searched).
     """
 
     kernel: KernelConfig
@@ -65,7 +66,7 @@ class TreatmentGP:
     chol_inv: np.ndarray
     jitter: float
     log_marginal: float
-    at_bound: tuple
+    at_bound: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -269,27 +270,17 @@ def search_hypers(controls, treatment_values, start: KernelConfig,
             tuple(name for name, hit in zip(HYPER_NAMES, on_bound) if hit))
 
 
-def fit_gp(controls, treatment_values, config: KernelConfig,
-           optimize_hypers: bool = True, seed: int = 0,
-           restarts: int = DEFAULT_RESTARTS) -> TreatmentGP:
-    """Fit one treatment's assignment GP on the control features.
-
-    With ``optimize_hypers`` the kernel hyperparameters are first moved to
-    the optimum :func:`search_hypers` finds from ``config``; the GP is then
-    factorized at its hyperparameters.
-    """
+def fit_gp(controls, treatment_values, config: KernelConfig) -> TreatmentGP:
+    """Factorize one treatment's assignment GP on the control features at the
+    hyperparameters ``config``; :func:`search_hypers` finds them."""
     controls, t = _training_rows(controls, treatment_values)
-    at_bound = ()
-    if optimize_hypers:
-        config, at_bound = search_hypers(controls, t, config, seed=seed,
-                                         restarts=restarts)
     mean_const = float(np.mean(t))
     _, L_inv, alpha, lml, jit = _factorize(
         t - mean_const, config.lengthscale, config.signal_variance,
         config.noise_variance, _sqdist(controls, controls))
     return TreatmentGP(kernel=config, train_controls=controls, train_targets=t,
                        mean_const=mean_const, alpha=alpha, chol_inv=L_inv,
-                       jitter=jit, log_marginal=lml, at_bound=at_bound)
+                       jitter=jit, log_marginal=lml)
 
 
 def predict_batch(gp: TreatmentGP, X_C) -> tuple:
@@ -362,5 +353,4 @@ def gp_from_dict(doc: dict) -> TreatmentGP:
     config = KernelConfig(**{f.name: doc[f.name] for f in fields(KernelConfig)})
     # alpha and the inverse Cholesky factor are recomputed, not stored
     return fit_gp(np.asarray(doc["train_controls"], dtype=np.float64),
-                  np.asarray(doc["train_targets"], dtype=np.float64),
-                  config, optimize_hypers=False)
+                  np.asarray(doc["train_targets"], dtype=np.float64), config)

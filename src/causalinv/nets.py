@@ -193,19 +193,23 @@ def _design(X_C, X_I, X_T, density=None):
                           axis=-1)
 
 
-def train_classifier(ds, weighted: bool, gps=None, folds: int = DEFAULT_FOLDS,
+def train_classifier(ds, gps=None, folds: int = DEFAULT_FOLDS,
                      arch_grid=DEFAULT_ARCH_GRID, seed: int = 0,
                      epochs: int = DEFAULT_EPOCHS) -> MlpClassifier:
-    """Cross-validated architecture selection, then a retrain on all rows."""
+    """Cross-validated architecture selection, then a retrain on all rows.
+
+    Given the assignment GPs ``gps``, one per treatment, the classifier is
+    weighted: it trains on treatments multiplied by their propensity density.
+    """
     arch_grid = [tuple(a) for a in arch_grid]
     if not arch_grid:
         raise ValueError("arch_grid must not be empty")
     if folds < 2 or folds > ds.n:
         raise ValueError(f"fold count {folds} out of range [2, {ds.n}]")
     Xc, Xt = ds.controls(), ds.treatments()
-    density = None
+    weighted, density = gps is not None, None
     if weighted:
-        if gps is None or len(gps) != ds.schema.n_treatments:
+        if len(gps) != ds.schema.n_treatments:
             raise ValueError("weighted training needs one fitted GP per treatment")
         density = aps(Xt, *treatment_profile(gps, Xc))
     Z = _design(Xc, ds.indirects(), Xt, density)

@@ -79,7 +79,7 @@ class PolicyResult:
     iterations_used: int
     cost_spent: float
     iterates: np.ndarray  # (iterations_used + 1, |T|), starting at x_bar_T
-    cfg: OptimizationConfig | None = None  # the search's settings
+    cfg: OptimizationConfig  # the search's settings
 
 
 def cost(z, c_up, c_down):
@@ -180,7 +180,7 @@ def optimize(x_bar, f, H, gps, schema, cfg: OptimizationConfig,
     c_up, c_down, l, u = (np.asarray(a, dtype=np.float64) for a in (
         schema.cost_up, schema.cost_down, schema.lower, schema.upper))
     if reuse is not None:
-        if reuse.cfg is None or replace(reuse.cfg, budget=cfg.budget) != cfg:
+        if replace(reuse.cfg, budget=cfg.budget) != cfg:
             raise ValueError("reuse must be a search with the same variant, "
                              "step, max_iters and lambda")
         B, B_reuse = cfg.budget, reuse.cfg.budget

@@ -147,8 +147,7 @@ class TestCriterion3GpAps:
     def test_interpolation_peak_and_gradient(self, student_ds):
         X = student_ds.controls()[:80]
         t = student_ds.treatments()[:80, 0]
-        gp = fit_gp(X, t, KernelConfig(2.0, 1.0, 1e-10),
-                    optimize_hypers=False)
+        gp = fit_gp(X, t, KernelConfig(2.0, 1.0, 1e-10))
         interp_err = max(abs(ci.predict_batch(gp, X[i][None])[0][0] - t[i])
                          for i in range(0, 80, 7))
         peak_err = abs(aps([0.5], [0.5], [0.2])[0]

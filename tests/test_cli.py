@@ -503,7 +503,12 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("flags, message", BAD_SEARCH + [
         (["--budget", "-1"], "budget must be nonnegative"),
-        (["--budget", "1", "--step", "-1"], "step size must be nonnegative")])
+        (["--budget", "1", "--step", "-1"], "step size must be nonnegative"),
+        (["--budget", "1,1"], "--budget 1.0 is given more than once"),
+        (["--budget", "1", "--lambda", "0.1,0.1"],
+         "--lambda 0.1 is given more than once"),
+        (["--budget", "1", "--variant", "g", "--variant", "g"],
+         "--variant g is given more than once")])
     def test_bad_cell_exit_2_before_fitting(self, corpus, tmp_path,
                                             monkeypatch, capsys, flags,
                                             message):

@@ -2,10 +2,11 @@ import csv
 import json
 import multiprocessing
 import os
+import struct
 import subprocess
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from causalinv.experiment import (ADJUST_THRESHOLD, DEFAULT_KERNEL,
                                   _filter_3sigma, fit_side_models, ifee,
                                   report_to_dict, run_experiment,
                                   write_sweep_csv)
-from causalinv.gp import ApsResult, KernelConfig, fit_gp, gp_to_dict
+from causalinv.gp import (ApsResult, KernelConfig, fit_gp, gp_to_dict,
+                          search_hypers)
 from causalinv.nets import (IndirectEstimator, MlpClassifier, net_to_dict,
                             train_classifier, train_indirect)
 from causalinv.optimize import (TOL, OptimizationConfig, OptimizationError,
@@ -37,7 +39,7 @@ def _gps(n_c, n_t, seed=0):
     X = rng.random((25, n_c))
     return tuple(
         fit_gp(X, 0.5 + 0.2 * X[:, 0] + rng.normal(0, 0.1, 25),
-               KernelConfig(1.0, 0.3, 0.05), optimize_hypers=False)
+               KernelConfig(1.0, 0.3, 0.05))
         for _ in range(n_t))
 
 
@@ -257,6 +259,15 @@ class TestRunExperiment:
         assert len(reused) == len(rep.cells) * rep.n_val and any(reused)
         assert json.dumps(report_to_dict(rep)) == json.dumps(report_to_dict(ref))
 
+    def test_pool_gives_the_serial_report(self, tiny_ds):
+        kw = dict(budgets=[0.0, 0.4], lambdas=[0.5], variants=["g", "f"],
+                  seed=9, settings=SMALL_SETTINGS, max_iters=40)
+        serial = asdict(run_experiment(tiny_ds, jobs=1, **kw))
+        pooled = asdict(run_experiment(tiny_ds, jobs=2, **kw))
+        assert pooled.keys() == serial.keys()
+        for name, value in serial.items():
+            assert _bits(pooled[name]) == _bits(value), name
+
     def test_requires_normalized(self, tiny_ds):
         from causalinv.data import Dataset
         raw = Dataset(X=tiny_ds.X, y=tiny_ds.y, schema=tiny_ds.schema)
@@ -267,7 +278,12 @@ class TestRunExperiment:
     @pytest.mark.parametrize("kw", [
         dict(budgets=[-1]), dict(step=-0.1), dict(max_iters=0),
         dict(lambdas=[-1]), dict(budgets=[np.nan]), dict(step=np.nan),
-        dict(step=np.inf), dict(lambdas=[np.nan]), dict(lambdas=[np.inf])])
+        dict(step=np.inf), dict(lambdas=[np.nan]), dict(lambdas=[np.inf]),
+        # a repeated value would search and report the same cells twice
+        dict(budgets=[1, 2, 1.0]), dict(lambdas=[0.1, 0.5, 0.1]),
+        dict(variants=["g", "f", "g"]),
+        dict(variants=["g", "g"], budgets=[1, 1], lambdas=[0.1, 0.1]),
+        dict(jobs=0), dict(jobs=-1)])  # and a pool of no worker
     def test_bad_cell_rejected_before_fitting(self, tiny_ds, monkeypatch, kw):
         def no_fit(*args, **kwargs):
             raise AssertionError("fit_side_models called before the cells "
@@ -307,22 +323,51 @@ def _model_documents(side):
             [gp.alpha.tobytes() for gp in side.gps])
 
 
-def _counted_gp_fits(monkeypatch):
-    """Count the calls of ``fit_gp`` that ``fit_side_models`` makes in this
-    process; the returned list grows by one per call."""
-    real, calls = experiment.fit_gp, []
+def _bits(value):
+    """``value`` with every float replaced by its bytes, so that ``==``
+    compares floats bitwise."""
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    if isinstance(value, dict):
+        return {key: _bits(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_bits(item) for item in value]
+    return value
+
+
+def _searched_gp(controls, targets, seed, j):
+    """Treatment ``j``'s GP as ``fit_side_models(half, seed, SMALL_SETTINGS)``
+    fits it: searched, factorized and marked with the search's bounds."""
+    kernel, at_bound = search_hypers(controls, targets, DEFAULT_KERNEL,
+                                     seed=_derive_seed(seed, 11, j),
+                                     restarts=SMALL_SETTINGS.gp_restarts)
+    return replace(fit_gp(controls, targets, kernel), at_bound=at_bound)
+
+
+def _counted_gp_fits(monkeypatch, seed):
+    """Record the GP work ``fit_side_models(..., seed)`` does in this
+    process: ``"search j"`` for treatment j's hyperparameter search and
+    ``"fit"`` for each factorization, in call order."""
+    real_search, real_fit = experiment.search_hypers, experiment.fit_gp
+    calls = []
+    treatment = {_derive_seed(seed, 11, j): j for j in range(8)}
+
+    def search(*args, **kwargs):
+        calls.append(f"search {treatment[kwargs['seed']]}")
+        return real_search(*args, **kwargs)
 
     def fit(*args, **kwargs):
-        calls.append(kwargs.get("optimize_hypers"))
-        return real(*args, **kwargs)
+        calls.append("fit")
+        return real_fit(*args, **kwargs)
 
+    monkeypatch.setattr(experiment, "search_hypers", search)
     monkeypatch.setattr(experiment, "fit_gp", fit)
     return calls
 
 
 class TestFitSideModels:
     """One forked child searches every second treatment's GP hyperparameters
-    while the parent fits the other GPs and then factorizes all of them;
+    while the parent searches the others' and then factorizes every GP;
     another trains the plain classifier while the parent fits H and the
     weighted classifier."""
 
@@ -336,13 +381,10 @@ class TestFitSideModels:
     def test_models_match_direct_fits(self, tiny_ds):
         seed, st = 4, SMALL_SETTINGS
         Xc, Xt = tiny_ds.controls(), tiny_ds.treatments()
-        gps = tuple(fit_gp(Xc, Xt[:, j], DEFAULT_KERNEL, optimize_hypers=True,
-                           seed=_derive_seed(seed, 11, j),
-                           restarts=st.gp_restarts) for j in range(2))
-        f_w, f_p = (train_classifier(tiny_ds, weighted, gps, st.folds,
-                                     st.arch_grid, _derive_seed(seed, part),
-                                     st.epochs)
-                    for weighted, part in ((True, 17), (False, 19)))
+        gps = tuple(_searched_gp(Xc, Xt[:, j], seed, j) for j in range(2))
+        f_w, f_p = (train_classifier(tiny_ds, given, st.folds, st.arch_grid,
+                                     _derive_seed(seed, part), st.epochs)
+                    for given, part in ((gps, 17), (None, 19)))
         H = train_indirect(tiny_ds, seed=_derive_seed(seed, 13),
                            epochs=st.epochs)
         direct = experiment.SideModels(f_w, f_p, H, gps)
@@ -351,7 +393,7 @@ class TestFitSideModels:
 
     @pytest.mark.parametrize("where", ["no fork", "pool worker"])
     def test_without_child_same_models(self, tiny_ds, monkeypatch, where):
-        calls = _counted_gp_fits(monkeypatch)
+        calls = _counted_gp_fits(monkeypatch, 4)
         forked = fit_side_models(tiny_ds, 4, SMALL_SETTINGS)
         forked_calls = list(calls)
         calls.clear()
@@ -370,9 +412,10 @@ class TestFitSideModels:
         assert _model_documents(alone) == _model_documents(forked)
         assert ([gp.at_bound for gp in alone.gps]
                 == [gp.at_bound for gp in forked.gps])
-        # one fit per treatment either way: the parent's own GPs searched,
-        # the child's factorized at the hyperparameters it sent back
-        assert calls == forked_calls == [True, False]
+        # the child's treatment is searched here only without a child; every
+        # GP is factorized here, after all searches, either way
+        assert forked_calls == ["search 0", "fit", "fit"]
+        assert calls == ["search 0", "search 1", "fit", "fit"]
 
     def _children(self, monkeypatch):
         """Record each function ``fit_side_models`` forks a child for."""
@@ -390,9 +433,7 @@ class TestFitSideModels:
         started = self._children(monkeypatch)
         side = fit_side_models(ds, 4, SMALL_SETTINGS)
         assert len(started) == 1  # the plain classifier's child alone
-        direct = fit_gp(ds.controls(), ds.treatments()[:, 0], DEFAULT_KERNEL,
-                        optimize_hypers=True, seed=_derive_seed(4, 11, 0),
-                        restarts=SMALL_SETTINGS.gp_restarts)
+        direct = _searched_gp(ds.controls(), ds.treatments()[:, 0], 4, 0)
         assert gp_to_dict(side.gps[0]) == gp_to_dict(direct)
 
     def test_no_spare_core_searches_in_process(self, tiny_ds, monkeypatch):
@@ -412,9 +453,7 @@ class TestFitSideModels:
         X[:, -1] = 0.2 + 0.5 * X[:, 0]
         ds = replace(ds, X=X)
         gp = fit_side_models(ds, 4, SMALL_SETTINGS).gps[1]
-        direct = fit_gp(ds.controls(), X[:, -1], DEFAULT_KERNEL,
-                        optimize_hypers=True, seed=_derive_seed(4, 11, 1),
-                        restarts=SMALL_SETTINGS.gp_restarts)
+        direct = _searched_gp(ds.controls(), X[:, -1], 4, 1)
         assert "noise_variance" in gp.at_bound
         assert gp.at_bound == direct.at_bound
         assert gp.log_marginal == direct.log_marginal
@@ -441,16 +480,22 @@ class TestFitSideModels:
         """Replace the plain classifier's fit by ``body()``."""
         real = experiment.train_classifier
 
-        def fit(ds, weighted, *args):
-            return real(ds, weighted, *args) if weighted else body()
+        def fit(ds, gps, *args):
+            return body() if gps is None else real(ds, gps, *args)
 
         monkeypatch.setattr(experiment, "train_classifier", fit)
 
     def _search(self, monkeypatch, body):
-        """Replace the hyperparameter search of the child's GPs by
-        ``body()``; the parent's own GPs still search in ``fit_gp``."""
-        monkeypatch.setattr(experiment, "search_hypers",
-                            lambda *args, **kwargs: body())
+        """Replace the hyperparameter searches of the forked child by
+        ``body()``; this process's own searches stay real."""
+        real, parent = experiment.search_hypers, os.getpid()
+
+        def search(*args, **kwargs):
+            if os.getpid() == parent:
+                return real(*args, **kwargs)
+            return body()
+
+        monkeypatch.setattr(experiment, "search_hypers", search)
 
     def test_child_error_keeps_its_type(self, tiny_ds, monkeypatch):
         def fail():
@@ -494,13 +539,17 @@ class TestFitSideModels:
 
     def test_parent_gp_error_terminates_search_child(self, tiny_ds,
                                                      monkeypatch):
-        def no_fit(*args, **kwargs):
-            raise ChildFitError("GP fit failed")
+        # the child's search hangs; this process's own search fails
+        parent = os.getpid()
 
-        self._search(monkeypatch, lambda: time.sleep(60))
-        monkeypatch.setattr(experiment, "fit_gp", no_fit)
+        def search(*args, **kwargs):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise ChildFitError("GP search failed")
+
+        monkeypatch.setattr(experiment, "search_hypers", search)
         t0 = time.monotonic()
-        with pytest.raises(ChildFitError, match="GP fit failed"):
+        with pytest.raises(ChildFitError, match="GP search failed"):
             fit_side_models(tiny_ds, 4, SMALL_SETTINGS)
         assert time.monotonic() - t0 < 30
 
@@ -542,7 +591,7 @@ def _fixed_policy_sweep(ds, move, density, monkeypatch):
     def fixed(x_bar, f, H, gps, schema, cfg, profile=None, reuse=None):
         x_T = x_bar[list(schema.treatment_idx)]
         return PolicyResult(x_T + move, np.zeros(1), ApsResult(np.array(density)),
-                            0, 0.0, x_T[None, :])
+                            0, 0.0, x_T[None, :], cfg)
 
     monkeypatch.setattr("causalinv.experiment.optimize", fixed)
     return run_experiment(ds, budgets=[1.0], lambdas=[0.0], variants=["f"],

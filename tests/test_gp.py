@@ -17,7 +17,9 @@ def _toy_gp(m=25, d=3, seed=0, noise=0.01, optimize=False, ls=0.8, sv=1.0):
     X = rng.random((m, d))
     t = np.sin(3 * X[:, 0]) + 0.5 * X[:, 1] + rng.normal(0, np.sqrt(noise), m)
     cfg = KernelConfig(lengthscale=ls, signal_variance=sv, noise_variance=noise)
-    return fit_gp(X, t, cfg, optimize_hypers=optimize, seed=seed), X, t
+    if optimize:
+        cfg, _ = search_hypers(X, t, cfg, seed=seed)
+    return fit_gp(X, t, cfg), X, t
 
 
 class TestApsDensity:
@@ -108,11 +110,11 @@ class TestFit:
     def test_single_row_rejected(self):
         cfg = KernelConfig(1.0, 1.0, 1e-6)
         with pytest.raises(ValueError):
-            fit_gp(np.ones((1, 2)), [1.0], cfg, optimize_hypers=False)
+            fit_gp(np.ones((1, 2)), [1.0], cfg)
 
     def test_duplicate_rows_survive_via_jitter(self):
         cfg = KernelConfig(1.0, 1.0, 1e-6)
-        gp = fit_gp(np.ones((2, 2)), [1.0, 1.0], cfg, optimize_hypers=False)
+        gp = fit_gp(np.ones((2, 2)), [1.0, 1.0], cfg)
         assert np.all(np.diag(gp.chol_inv) > 0)
 
     def test_noise_free_interpolation(self):
@@ -127,7 +129,7 @@ class TestFit:
         rng = np.random.default_rng(4)
         X = rng.random((10, 2))
         t = rng.normal(3.0, 1.0, 10)
-        gp = fit_gp(X, t, cfg, optimize_hypers=False)
+        gp = fit_gp(X, t, cfg)
         assert gp.mean_const == float(np.mean(t))
         # >= 10 lengthscales away
         (mean,), (std,) = predict_batch(gp, (X[0] + 20.0)[None])
@@ -150,7 +152,7 @@ class TestFit:
         t = np.sin(4 * X[:, 0]) + rng.normal(0, 0.1, 40)
         start = KernelConfig(lengthscale=3.0, signal_variance=0.2,
                              noise_variance=0.2)
-        gp = fit_gp(X, t, start, optimize_hypers=True, seed=0)
+        gp = fit_gp(X, t, search_hypers(X, t, start, seed=0)[0])
         mean_const = float(np.mean(t))
         lml_start = dense_log_marginal(X, t, mean_const, 3.0, 0.2, 0.2)
         lml_fit = dense_log_marginal(X, t, mean_const, gp.kernel.lengthscale,
@@ -162,7 +164,7 @@ class TestFit:
     def test_row_permutation_invariance(self):
         gp, X, t = _toy_gp(noise=0.02)
         perm = np.random.default_rng(7).permutation(len(t))
-        gp2 = fit_gp(X[perm], t[perm], gp.kernel, optimize_hypers=False)
+        gp2 = fit_gp(X[perm], t[perm], gp.kernel)
         q = np.full(3, 0.4)
         (m1,), (s1,) = predict_batch(gp, q[None])
         (m2,), (s2,) = predict_batch(gp2, q[None])
@@ -173,8 +175,8 @@ class TestFit:
         # changing treatment k's data leaves treatment t's density alone
         gp_t, X, _ = _toy_gp(seed=8)
         rng = np.random.default_rng(9)
-        gp_k1 = fit_gp(X, rng.random(len(X)), gp_t.kernel, optimize_hypers=False)
-        gp_k2 = fit_gp(X, rng.random(len(X)), gp_t.kernel, optimize_hypers=False)
+        gp_k1 = fit_gp(X, rng.random(len(X)), gp_t.kernel)
+        gp_k2 = fit_gp(X, rng.random(len(X)), gp_t.kernel)
         q = X[0]
         del gp_k1, gp_k2
         (m1,), (s1,) = predict_batch(gp_t, q[None])
@@ -192,24 +194,26 @@ class TestFit:
         rng = np.random.default_rng(12)
         X = rng.random((40, 2))
         t = np.sin(3 * X[:, 0]) + 0.5 * X[:, 1]
-        gp = fit_gp(X, t, KernelConfig(1.0, 1.0, 0.1), optimize_hypers=True)
+        kernel, at_bound = search_hypers(X, t, KernelConfig(1.0, 1.0, 0.1))
         # the search floors the noise at 5% of the target variance
-        assert "noise_variance" in gp.at_bound
-        assert abs(gp.kernel.noise_variance / (0.05 * np.var(t)) - 1) < 1e-12
-        assert fit_gp(X, t, gp.kernel, optimize_hypers=False).at_bound == ()
+        assert "noise_variance" in at_bound
+        assert abs(kernel.noise_variance / (0.05 * np.var(t)) - 1) < 1e-12
+        assert fit_gp(X, t, kernel).at_bound == ()
 
     def test_search_then_refit_is_the_searched_fit(self):
-        # the split a forked search relies on: the searched hyperparameters,
-        # factorized with no search, give the searched fit's bytes
+        # a side's fit searches a strided column of its treatment matrix and
+        # factorizes at the result; both read only the values, so the
+        # contiguous copy a single call once made gives the same bytes
         rng = np.random.default_rng(13)
         X = rng.random((30, 2))
-        t = np.sin(3 * X[:, 0]) + rng.normal(0, 0.1, 30)
+        T = np.column_stack([np.sin(3 * X[:, 0]) + rng.normal(0, 0.1, 30),
+                             rng.random(30)])
+        t = np.ascontiguousarray(T[:, 0])
         start = KernelConfig(1.0, 1.0, 0.1)
-        searched = fit_gp(X, t, start, optimize_hypers=True, seed=3,
-                          restarts=2)
-        kernel, at_bound = search_hypers(X, t, start, seed=3, restarts=2)
-        refit = fit_gp(X, t, kernel, optimize_hypers=False)
-        assert kernel == searched.kernel and at_bound == searched.at_bound
+        kernel, at_bound = search_hypers(X, T[:, 0], start, seed=3, restarts=2)
+        assert (kernel, at_bound) == search_hypers(X, t, start, seed=3,
+                                                   restarts=2)
+        refit, searched = fit_gp(X, T[:, 0], kernel), fit_gp(X, t, kernel)
         assert refit.alpha.tobytes() == searched.alpha.tobytes()
         assert refit.chol_inv.tobytes() == searched.chol_inv.tobytes()
         assert refit.log_marginal == searched.log_marginal
@@ -321,7 +325,7 @@ class TestTriangularInverse:
         X = rng.random((325, 4))
         t = np.sin(3 * X[:, 0]) + rng.normal(0, 0.2, 325)
         ls, sv, nv = _bound_corner(X, t)
-        gp = fit_gp(X, t, KernelConfig(ls, sv, nv), optimize_hypers=False)
+        gp = fit_gp(X, t, KernelConfig(ls, sv, nv))
         Q = rng.random((20, 4))
         means, stds = predict_batch(gp, Q)
         for q, mean, std in zip(Q, means, stds):

@@ -50,8 +50,8 @@ def _separable_dataset(n=200, seed=0):
 class TestClassifierTraining:
     def test_separable_toy_accuracy(self):
         ds = _separable_dataset()
-        f = train_classifier(ds, weighted=False, folds=3, arch_grid=((8,),),
-                             seed=0, epochs=150)
+        f = train_classifier(ds, folds=3, arch_grid=((8,),), seed=0,
+                             epochs=150)
         probs = f.forward(np.concatenate([ds.controls(), ds.indirects(),
                                           ds.treatments()], axis=1))
         acc = ((probs > 0.5).astype(int) == ds.y).mean()
@@ -66,31 +66,32 @@ class TestClassifierTraining:
 
     def test_selected_architecture_minimizes_cv_loss(self, small_ds):
         grid = ((4,), (8,))
-        f = train_classifier(small_ds, weighted=False, folds=3, arch_grid=grid,
+        f = train_classifier(small_ds, folds=3, arch_grid=grid,
                              seed=1, epochs=40)
         meta = f.training_meta
+        assert not f.weighted and meta["weighted"] is False  # no GPs given
         assert tuple(meta["arch"]) in grid
         assert meta["cv_loss"] == min(meta["cv_losses"].values())
 
     def test_empty_grid_rejected(self, small_ds):
         with pytest.raises(ValueError):
-            train_classifier(small_ds, weighted=False, arch_grid=())
+            train_classifier(small_ds, arch_grid=())
 
     def test_bad_fold_count_rejected(self, small_ds):
         with pytest.raises(ValueError):
-            train_classifier(small_ds, weighted=False, folds=1,
-                             arch_grid=((4,),))
+            train_classifier(small_ds, folds=1, arch_grid=((4,),))
         with pytest.raises(ValueError):
-            train_classifier(small_ds, weighted=False, folds=small_ds.n + 1,
-                             arch_grid=((4,),))
+            train_classifier(small_ds, folds=small_ds.n + 1, arch_grid=((4,),))
 
     def test_weighted_needs_gps(self, small_ds):
-        with pytest.raises(ValueError):
-            train_classifier(small_ds, weighted=True, gps=None,
-                             arch_grid=((4,),))
+        # one GP per treatment: small_ds has two
+        gp = fit_gp(small_ds.controls(), small_ds.treatments()[:, 0],
+                    KernelConfig(1.0, 0.5, 0.05))
+        with pytest.raises(ValueError, match="one fitted GP per treatment"):
+            train_classifier(small_ds, gps=(gp,), arch_grid=((4,),))
 
     def test_deterministic_weights(self, small_ds):
-        kw = dict(weighted=False, folds=2, arch_grid=((4,),), seed=9, epochs=30)
+        kw = dict(folds=2, arch_grid=((4,),), seed=9, epochs=30)
         f1 = train_classifier(small_ds, **kw)
         f2 = train_classifier(small_ds, **kw)
         for w1, w2 in zip(f1.weights, f2.weights):
@@ -124,8 +125,8 @@ class TestLockstepTraining:
         # 59 rows in 5 folds: training sets of 47 and 48 rows, two stacks
         ds = make_dataset(n=59, seed=8)
         seed, folds, epochs = 3, 5, 15
-        f = train_classifier(ds, weighted=False, folds=folds,
-                             arch_grid=(hidden,), seed=seed, epochs=epochs)
+        f = train_classifier(ds, folds=folds, arch_grid=(hidden,), seed=seed,
+                             epochs=epochs)
         Z = np.concatenate([ds.controls(), ds.indirects(), ds.treatments()],
                            axis=1)
         y = ds.y.astype(np.float64)
@@ -333,11 +334,11 @@ class TestWeightedTraining:
     def test_weighted_design_uses_propensity(self, small_ds):
         gps = tuple(
             fit_gp(small_ds.controls(), small_ds.treatments()[:, j],
-                   KernelConfig(1.0, 0.5, 0.05), optimize_hypers=False)
+                   KernelConfig(1.0, 0.5, 0.05))
             for j in range(2))
-        f = train_classifier(small_ds, weighted=True, gps=gps, folds=2,
-                             arch_grid=((4,),), seed=2, epochs=30)
-        assert f.weighted
+        f = train_classifier(small_ds, gps, folds=2, arch_grid=((4,),), seed=2,
+                             epochs=30)
+        assert f.weighted and f.training_meta["weighted"] is True
         x_C, x_T = small_ds.controls()[0], small_ds.treatments()[0]
         profile = treatment_profile(gps, x_C)
         H = train_indirect(small_ds, seed=0, epochs=20)

@@ -1,4 +1,3 @@
-import dataclasses
 import sys
 
 import numpy as np
@@ -198,8 +197,7 @@ def _fitted_gps(n_t, target=0.5, n_c=1, sd=0.15):
     gps = []
     for j in range(n_t):
         t = np.full(30, target) + rng.normal(0, sd, 30)
-        gps.append(fit_gp(X, t, KernelConfig(1.0, 0.3, 0.02),
-                          optimize_hypers=False))
+        gps.append(fit_gp(X, t, KernelConfig(1.0, 0.3, 0.02)))
     return tuple(gps)
 
 
@@ -616,5 +614,3 @@ class TestReuseOfLargerBudget:
         wide = self._search(10.0)
         with pytest.raises(ValueError, match="same variant, step"):
             self._search(1.0, reuse=wide, lam=0.0)
-        with pytest.raises(ValueError, match="same variant, step"):
-            self._search(1.0, reuse=dataclasses.replace(wide, cfg=None))
