@@ -158,9 +158,15 @@ def _schema_doc(doc):
     for key in ("label", "control", "indirect", "treatment"):
         if key not in doc:
             raise SchemaError(f"missing field {key!r}")
-    for key, (kind, ok) in SCHEMA_TYPES.items():
-        if key in doc and not ok(doc[key]):
-            raise SchemaError(f"field {key!r} must be {kind}, got {doc[key]!r}")
+    for key, value in doc.items():
+        if key not in SCHEMA_TYPES:
+            raise SchemaError(f"unknown field {key!r}")
+        kind, ok = SCHEMA_TYPES[key]
+        if not ok(value):
+            raise SchemaError(f"field {key!r} must be {kind}, got {value!r}")
+    for key in ("cost_up", "cost_down", "lower", "upper"):
+        for name in sorted(set(doc.get(key, {})) - set(doc["treatment"])):
+            raise SchemaError(f"field {key!r} names {name!r}, not a treatment")
     return doc
 
 
@@ -181,7 +187,7 @@ def load_dataset(path, schema_path):
     bounds carry over from the original column to its indicator(s). A
     non-numeric or non-finite numeric cell, and a treatment value outside its
     bounds, raise :class:`DataError` naming the value, column and row; so
-    does a row with more or fewer cells than the header.
+    do a header naming a column twice and a row of another width.
     """
     raw = read_json(schema_path, _schema_doc)
     label_col = raw["label"]
@@ -196,6 +202,9 @@ def load_dataset(path, schema_path):
             if name in roles:
                 raise SchemaError(f"column {name!r} assigned to multiple roles")
             roles[name] = role
+    if label_col in roles:
+        raise SchemaError(f"label column {label_col!r} also has the role "
+                          f"{roles[label_col]!r}")
 
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -206,7 +215,11 @@ def load_dataset(path, schema_path):
     if not rows:
         raise DataError(f"no data rows in {path}")
 
-    col_of = {name: j for j, name in enumerate(header)}
+    col_of = {}
+    for j, name in enumerate(header):
+        if col_of.setdefault(name, j) != j:
+            raise DataError(f"the header of {path} repeats column {name!r}, "
+                            f"at positions {col_of[name]} and {j}")
     if label_col not in col_of:
         raise SchemaError(f"label column {label_col!r} not in CSV header")
     for name in roles:

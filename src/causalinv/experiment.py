@@ -13,9 +13,7 @@ predicted probability of the undesirable class.
 from __future__ import annotations
 
 import csv
-import math
 import os
-from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 
@@ -141,98 +139,91 @@ def _spare_cores() -> bool:
 def _reply(fn, conn):
     """Body of a forked child: send ``(True, fn())`` or ``(False, error)``."""
     try:
-        reply = (True, fn())
+        conn.send((True, fn()))
     except BaseException as exc:  # re-raised in the parent
-        reply = (False, exc)
-    conn.send(reply)
-    conn.close()
+        conn.send((False, exc))
 
 
-@contextmanager
-def _forked(fn):
-    """Start ``fn()`` in a child forked now and yield a function that waits
-    for its result, re-raising the child's exception with its own type.
-    Where fork is unavailable, or in a daemonic process, which may not start
-    children (a pool worker), the yielded function is ``fn`` itself, run
-    when it is called. The child never outlives the block: it is joined, and
-    terminated first if the block raises. Fork rather than spawn: the child
-    starts with the package and the data already in memory, and nothing but
-    the result is pickled."""
-    import multiprocessing  # not at import: only a fit starts a child
+def _shared(calls) -> list:
+    """The results of ``calls``, in order: the first runs in this process,
+    each other in a child forked for it, so only results are pickled. A
+    child's exception is raised again with its own type; a child that dies
+    without a result raises ``RuntimeError`` naming its exit code. If
+    anything raises, every child is terminated; each is joined. Without
+    fork, or in a daemonic process (a pool worker or a child of this one),
+    which may not start children, every call runs here, in order."""
+    import multiprocessing  # not at import: only a fit or a sweep forks
     if ("fork" not in multiprocessing.get_all_start_methods()
             or multiprocessing.current_process().daemon):
-        yield fn
-        return
+        return [call() for call in calls]
     ctx = multiprocessing.get_context("fork")
-    receive, send = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_reply, args=(fn, send), daemon=True)
-    child.start()
-    send.close()
-
-    def result():
-        try:
-            ok, value = receive.recv()
-        except EOFError:
-            child.join()
-            raise RuntimeError(f"the forked fit exited with code "
-                               f"{child.exitcode} without a result") from None
-        if not ok:
-            raise value
-        return value
-
+    children = []
     try:
-        yield result
+        for call in calls[1:]:
+            receive, send = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_reply, args=(call, send), daemon=True)
+            child.start()
+            send.close()
+            children.append((child, receive))
+        results = [calls[0]()]
+        for child, receive in children:
+            try:
+                ok, value = receive.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"a forked child exited with code "
+                                   f"{child.exitcode} without a result") from None
+            if not ok:
+                raise value
+            results.append(value)
+        return results
     except BaseException:
-        child.terminate()
+        for child, _ in children:
+            child.terminate()
         raise
     finally:
-        child.join()
-        receive.close()
+        for child, receive in children:
+            child.join()
+            receive.close()
 
 
 def fit_side_models(half: Dataset, seed: int,
                     settings: TrainSettings = TrainSettings()) -> SideModels:
     """Fit GPs, both classifiers and the indirect estimator on one half.
 
-    Two forked children take work off this process, one after the other.
-    The first searches the GP hyperparameters of every second treatment (1,
-    3, ...) and sends back only each search's result, while this process
-    searches those of the other treatments. The search child starts only
-    when the BLAS leaves cores to spare (:func:`_spare_cores`); otherwise
-    this process runs those searches itself, after its own. This process
-    then factorizes every GP at its searched hyperparameters, in treatment
-    order. The second child trains the plain classifier, which reads no
-    other fitted model, while this process fits H and the weighted
-    classifier. Each fit draws from its own derived seed, so the models are
-    the ones a single process fits.
-    """
+    Two splits, each with a forked child (:func:`_shared`). First this
+    process searches the GP hyperparameters of treatments 0, 2, ... and the
+    child those of 1, 3, ... if the BLAS leaves cores to spare
+    (:func:`_spare_cores`; else this process searches all), then factorizes
+    every GP in treatment order. Then it fits H and the weighted classifier
+    while the child trains the plain one. Each fit draws from its own
+    derived seed, so the models are the ones one process fits."""
     _check_folds(settings, half)
     Xc = half.controls()
     Xt = half.treatments()
     k = half.schema.n_treatments
 
     def search(js):
-        return [search_hypers(Xc, Xt[:, j], DEFAULT_KERNEL,
-                              seed=_derive_seed(seed, 11, j),
-                              restarts=settings.gp_restarts) for j in js]
+        return {j: search_hypers(Xc, Xt[:, j], DEFAULT_KERNEL,
+                                 seed=_derive_seed(seed, 11, j),
+                                 restarts=settings.gp_restarts) for j in js}
 
     def classifier(gps, part):
         return train_classifier(half, gps, settings.folds, settings.arch_grid,
                                 _derive_seed(seed, part), settings.epochs)
 
-    theirs = partial(search, range(1, k, 2))
-    found = [None] * k
-    fork = k > 1 and _spare_cores()
-    with (_forked(theirs) if fork else nullcontext(theirs)) as their_result:
-        found[0::2] = search(range(0, k, 2))
-        found[1::2] = their_result()
+    splits = ([range(0, k, 2), range(1, k, 2)] if k > 1 and _spare_cores()
+              else [range(k)])
+    shares = _shared([partial(search, js) for js in splits])
+    found = {j: hypers for share in shares for j, hypers in share.items()}
     gps = tuple(replace(fit_gp(Xc, Xt[:, j], kernel), at_bound=at_bound)
-                for j, (kernel, at_bound) in enumerate(found))
-    with _forked(partial(classifier, None, 19)) as plain:
-        H = train_indirect(half, seed=_derive_seed(seed, 13),
-                           epochs=settings.epochs)
-        f_w = classifier(gps, 17)
-        f_p = plain()
+                for j, (kernel, at_bound) in sorted(found.items()))
+
+    def weighted_side():
+        return (train_indirect(half, seed=_derive_seed(seed, 13),
+                               epochs=settings.epochs), classifier(gps, 17))
+
+    (H, f_w), f_p = _shared([weighted_side, partial(classifier, None, 19)])
     return SideModels(f_weighted=f_w, f_plain=f_p, H=H, gps=gps)
 
 
@@ -319,12 +310,12 @@ def run_experiment(ds: Dataset, budgets, lambdas, variants, seed: int,
     """Full protocol: half split, two model sides, per-instance optimization.
 
     Two steps. The search step optimizes every validation-half instance for
-    every sweep cell with the optimization-side models alone, in ``jobs``
-    processes. The scoring step then scores each cell once over its rows
-    with the validation-side models: average iFEE, filtered average APS and
-    treatment-adjustment counts. Failed optimizations are excluded from the
-    averages and reported per cell, never silently dropped; a cell in which
-    every row failed reports NaN averages.
+    every sweep cell with the optimization-side models alone, in up to
+    ``jobs`` contiguous shares of rows, the first in this process and each
+    other in a forked child (:func:`_shared`). The scoring step scores each
+    cell with the validation-side models: average iFEE, filtered average APS
+    and treatment-adjustment counts. Failed optimizations are reported per
+    cell and left out of its averages, which are NaN if every row failed.
     """
     if jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {jobs}")
@@ -343,17 +334,12 @@ def run_experiment(ds: Dataset, budgets, lambdas, variants, seed: int,
     opt_models = fit_side_models(opt_half, _derive_seed(seed, 1), settings)
     val_models = fit_side_models(val_half, _derive_seed(seed, 2), settings)
 
-    # search step: the only work mapped over rows, serially or in the pool
-    search = partial(_search_row, val_half, opt_models, cells)
-    rows = range(val_half.n)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor  # not at import
-        # one chunk per worker, so each worker unpickles the models once
-        with ProcessPoolExecutor(max_workers=min(jobs, len(rows))) as ex:
-            per_row = list(ex.map(search, rows,
-                                  chunksize=math.ceil(len(rows) / jobs)))
-    else:
-        per_row = list(map(search, rows))
+    # search step: the only work split over rows
+    def search(rows):
+        return [_search_row(val_half, opt_models, cells, i) for i in rows]
+
+    shares = np.array_split(np.arange(val_half.n), min(jobs, val_half.n))
+    per_row = sum(_shared([partial(search, rows) for rows in shares]), [])
 
     # scoring step: each cell once, over all of its rows
     schema = val_half.schema

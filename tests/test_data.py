@@ -167,6 +167,50 @@ class TestLoad:
         with pytest.raises(SchemaError, match="missing_col"):
             ci.load_dataset(csv, schema)
 
+    @pytest.mark.parametrize("role", ["control", "indirect", "treatment"])
+    def test_label_with_a_feature_role_named(self, tmp_path, role):
+        # a classifier would otherwise train on its own label
+        csv = _write(tmp_path, "d.csv", "a,t,y\n1,2,0\n1,3,1\n")
+        roles = {"control": ["a"], "indirect": [], "treatment": ["t"]}
+        roles[role] = roles[role] + ["y"]
+        with pytest.raises(SchemaError) as err:
+            ci.load_dataset(csv, _basic_schema(tmp_path, **roles))
+        assert str(err.value) == f"label column 'y' also has the role {role!r}"
+
+    @pytest.mark.parametrize("key, name", [
+        ("cost_up", "tt"), ("cost_down", "tt"), ("lower", "tt"),
+        ("upper", "tt"), ("cost_up", "a")])  # a control is no treatment
+    def test_entry_for_no_treatment_named(self, tmp_path, key, name):
+        # a misspelled treatment would silently keep the default for "t"
+        csv = _write(tmp_path, "d.csv", "a,t,y\n1,2,0\n")
+        path = _basic_schema(tmp_path, **{key: {"t": 1.0, name: 5.0}})
+        with pytest.raises(SchemaError) as err:
+            ci.load_dataset(csv, path)
+        assert str(err.value) == (f"{path}: field {key!r} names {name!r}, "
+                                  f"not a treatment")
+
+    def test_unknown_field_named(self, tmp_path):
+        csv = _write(tmp_path, "d.csv", "a,t,y\n1,2,0\n")
+        path = _basic_schema(tmp_path, costs_up={"t": 5.0})
+        with pytest.raises(SchemaError) as err:
+            ci.load_dataset(csv, path)
+        assert str(err.value) == f"{path}: unknown field 'costs_up'"
+
+    @pytest.mark.parametrize("header, name, first, second", [
+        ("a,t,a,y", "a", 0, 2),   # a feature: both would read the third cell
+        ("a,t,y,y", "y", 2, 3),   # the label
+        ("a,t,y,z,z", "z", 3, 4)])  # a column the schema does not name
+    def test_repeated_header_name_named(self, tmp_path, header, name, first,
+                                        second):
+        width = header.count(",") + 1
+        row = ",".join(["1", "2", "0", "1", "1"][:width])
+        csv = _write(tmp_path, "d.csv", f"{header}\n{row}\n")
+        with pytest.raises(DataError) as err:
+            ci.load_dataset(csv, _basic_schema(tmp_path))
+        assert str(err.value) == (f"the header of {csv} repeats column "
+                                  f"{name!r}, at positions {first} and "
+                                  f"{second}")
+
     def test_non_numeric_cell(self, tmp_path):
         csv = _write(tmp_path, "d.csv", "a,t,y\n1,oops,0\n")
         with pytest.raises(DataError, match="non-numeric"):

@@ -158,6 +158,8 @@ class TestCellGrid:
 
 SMALL_SETTINGS = TrainSettings(folds=2, arch_grid=((4,),), epochs=25,
                                gp_restarts=1)
+SWEEP = dict(budgets=[0.0, 0.4], lambdas=[0.5], variants=["g", "f"], seed=9,
+             settings=SMALL_SETTINGS, max_iters=40)
 
 
 def test_empty_arch_grid_rejected():
@@ -259,14 +261,22 @@ class TestRunExperiment:
         assert len(reused) == len(rep.cells) * rep.n_val and any(reused)
         assert json.dumps(report_to_dict(rep)) == json.dumps(report_to_dict(ref))
 
-    def test_pool_gives_the_serial_report(self, tiny_ds):
-        kw = dict(budgets=[0.0, 0.4], lambdas=[0.5], variants=["g", "f"],
-                  seed=9, settings=SMALL_SETTINGS, max_iters=40)
-        serial = asdict(run_experiment(tiny_ds, jobs=1, **kw))
-        pooled = asdict(run_experiment(tiny_ds, jobs=2, **kw))
+    @pytest.mark.parametrize("jobs", [2, 3, "n_val + 5"])
+    def test_pool_gives_the_serial_report(self, tiny_ds, jobs):
+        serial = asdict(run_experiment(tiny_ds, jobs=1, **SWEEP))
+        if jobs == "n_val + 5":  # more shares asked for than there are rows
+            jobs = serial["n_val"] + 5
+        pooled = asdict(run_experiment(tiny_ds, jobs=jobs, **SWEEP))
         assert pooled.keys() == serial.keys()
         for name, value in serial.items():
             assert _bits(pooled[name]) == _bits(value), name
+
+    def test_pool_worker_searches_every_share_itself(self, tiny_ds):
+        # a daemonic process may not start children, so each share of the
+        # sweep, and each split of the fits, runs in the worker itself
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            pooled = pool.apply(_report_bits, (tiny_ds, 2))
+        assert pooled == _report_bits(tiny_ds, 1)
 
     def test_requires_normalized(self, tiny_ds):
         from causalinv.data import Dataset
@@ -313,7 +323,59 @@ class TestRunExperiment:
 
 
 class ChildFitError(LookupError):
-    """Raised by a fit in a forked child."""
+    """Raised by a fit or a search in a forked child."""
+
+
+def _report_bits(ds, jobs):
+    """The report of ``SWEEP`` on ``ds`` at ``jobs``, floats as bytes."""
+    return _bits(asdict(run_experiment(ds, jobs=jobs, **SWEEP)))
+
+
+class TestSweepShares:
+    """``run_experiment(jobs=N)`` searches the first of N contiguous shares
+    of the validation rows here and each other share in a forked child."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        assert multiprocessing.active_children() == []
+
+    def _search(self, monkeypatch, child, parent=None):
+        """Replace the row searches of the forked children by ``child()``,
+        and those of this process by ``parent()`` if it is given."""
+        real, here = experiment._search_row, os.getpid()
+
+        def search(*args):
+            if os.getpid() != here:
+                return child()
+            return parent() if parent else real(*args)
+
+        monkeypatch.setattr(experiment, "_search_row", search)
+
+    def test_share_error_keeps_its_type(self, tiny_ds, monkeypatch):
+        def fail():
+            raise ChildFitError(f"search failed in process {os.getpid()}")
+
+        self._search(monkeypatch, fail)
+        with pytest.raises(ChildFitError, match="search failed") as err:
+            run_experiment(tiny_ds, jobs=2, **SWEEP)
+        assert f"process {os.getpid()}" not in str(err.value)
+
+    def test_share_dying_without_reply_named(self, tiny_ds, monkeypatch):
+        self._search(monkeypatch, lambda: os._exit(7))
+        with pytest.raises(RuntimeError, match="exited with code 7"):
+            run_experiment(tiny_ds, jobs=2, **SWEEP)
+
+    def test_parent_share_error_terminates_children(self, tiny_ds,
+                                                    monkeypatch):
+        def fail():
+            raise ChildFitError("this process's search failed")
+
+        self._search(monkeypatch, lambda: time.sleep(60), fail)
+        t0 = time.monotonic()
+        with pytest.raises(ChildFitError, match="this process's search"):
+            run_experiment(tiny_ds, jobs=3, **SWEEP)
+        assert time.monotonic() - t0 < 30
 
 
 def _model_documents(side):
@@ -418,21 +480,22 @@ class TestFitSideModels:
         assert calls == ["search 0", "search 1", "fit", "fit"]
 
     def _children(self, monkeypatch):
-        """Record each function ``fit_side_models`` forks a child for."""
-        started, real = [], experiment._forked
+        """Record how many children each split of ``fit_side_models``
+        forks."""
+        started, real = [], experiment._shared
 
-        def spy(fn):
-            started.append(fn)
-            return real(fn)
+        def spy(calls):
+            started.append(len(calls) - 1)
+            return real(calls)
 
-        monkeypatch.setattr(experiment, "_forked", spy)
+        monkeypatch.setattr(experiment, "_shared", spy)
         return started
 
     def test_one_treatment_starts_no_search_child(self, monkeypatch):
         ds = make_dataset(n=36, n_c=2, n_i=1, n_t=1, seed=17)
         started = self._children(monkeypatch)
         side = fit_side_models(ds, 4, SMALL_SETTINGS)
-        assert len(started) == 1  # the plain classifier's child alone
+        assert started == [0, 1]  # the plain classifier's child alone
         direct = _searched_gp(ds.controls(), ds.treatments()[:, 0], 4, 0)
         assert gp_to_dict(side.gps[0]) == gp_to_dict(direct)
 
@@ -441,7 +504,7 @@ class TestFitSideModels:
         monkeypatch.setattr(experiment, "_spare_cores", lambda: False)
         started = self._children(monkeypatch)
         alone = fit_side_models(tiny_ds, 4, SMALL_SETTINGS)
-        assert len(started) == 1  # the plain classifier's child alone
+        assert started == [0, 1]  # the plain classifier's child alone
         assert _model_documents(alone) == _model_documents(forked)
 
     def test_bound_found_in_child_is_kept(self, tmp_path):
@@ -625,8 +688,7 @@ class TestTreatmentFrequency:
 
 
 def test_import_leaves_process_pools_out():
-    # multiprocessing loads only when a model fit forks its child, and
-    # concurrent.futures.process only when a sweep runs with jobs > 1
+    # multiprocessing loads only when a fit or a sweep shares its work
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
